@@ -26,7 +26,7 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from .driver import ProblemConfig, run_study
-from .estimate import EstimateError, fit_rate
+from .estimate import EstimateError, StudyRecord, fit_rate
 from .mesh import export_svg, export_vtk, refine_uniform, unit_square_mesh
 from .newton import SolverOptions
 
@@ -53,7 +53,7 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ProblemConfig:
             kwargs[key] = value
         else:
             raise ConfigError(f"{source}: unknown field {key!r}")
-    if "x0" in kwargs:
+    if isinstance(kwargs.get("x0"), list):
         kwargs["x0"] = tuple(kwargs["x0"])
     if "snapshot_levels" in kwargs:
         kwargs["snapshot_levels"] = tuple(kwargs["snapshot_levels"])
@@ -157,29 +157,12 @@ def cmd_case2(args) -> int:
     return 0 if len(records) == cfg.max_levels else 1
 
 
-def _records_from_csv(path: Path):
-    from .estimate import StudyRecord
-
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    want = StudyRecord.CSV_HEADER.split(",")
-    if header != want:
-        raise ConfigError(f"{path}: unexpected CSV header")
-    records = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        records.append(StudyRecord(
-            level=int(vals[0]), n_free_trial=int(vals[1]),
-            n_free_test=int(vals[2]), n_total=int(vals[3]),
-            h_max=float(vals[4]), error=float(vals[5]), eta=float(vals[6]),
-            eta_over_error=float(vals[7]), eta_root_over_error=float(vals[8]),
-            newton_total=int(vals[9]), damping_events=int(vals[10]),
-            wall_ms=float(vals[11])))
-    return records
-
-
 def cmd_rates(args) -> int:
-    records = _records_from_csv(Path(args.csv))
+    path = Path(args.csv)
+    lines = path.read_text().strip().splitlines()
+    if lines[0] != StudyRecord.CSV_HEADER:
+        raise ConfigError(f"{path}: unexpected CSV header")
+    records = [StudyRecord.from_csv_row(line) for line in lines[1:]]
     for quantity in ("error", "eta"):
         slope = fit_rate(records, quantity, args.window)
         print(f"slope({quantity}) over last {args.window} levels: {slope:+.4f}")

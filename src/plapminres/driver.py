@@ -12,13 +12,17 @@ refinement strategies are supported:
 
 Every level restarts the exponent continuation from p = 2 by default so
 iteration counts are comparable across levels; state transfer onto the
-refined mesh is available as an opt-in warm start.
+refined mesh is available as an opt-in warm start.  A failed warm-start
+attempt stays in the level's iteration log, so its Newton iterations are
+counted before the continuation takes over.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -39,7 +43,6 @@ from .newton import (
     DiscreteState,
     IterationLog,
     SolverOptions,
-    TargetRecord,
     continuation_solve,
     newton_solve,
 )
@@ -71,20 +74,33 @@ class ProblemConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if not self.p_target > 1.0:
-            raise ValueError("p_target must be > 1")
+        if not (_is_finite_real(self.p_target) and self.p_target > 1.0):
+            raise ValueError("p_target must be a finite number > 1")
+        if not (isinstance(self.x0, (tuple, list)) and len(self.x0) == 2
+                and all(map(_is_finite_real, self.x0))):
+            raise ValueError("x0 must be two finite numbers")
+        for name in ("initial_n", "max_levels", "pre_adapt_steps",
+                     "load_quad_degree", "error_quad_degree"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if not self.sigma < 2.0:
             raise ValueError("sigma must be < 2")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
-        if self.initial_n < 1:
-            raise ValueError("initial_n must be >= 1")
+        for name in ("max_levels", "initial_n", "load_quad_degree",
+                     "error_quad_degree"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.warm_start not in WARM_STARTS:
             raise ValueError(f"warm_start must be one of {WARM_STARTS}")
+
+
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -117,21 +133,18 @@ def _solve_level(cfg: ProblemConfig, mesh: Mesh,
     factory = _forms_factory(mesh, test, load_free, cfg.sigma, cfg.x0)
 
     state = None
-    itlog = None
+    itlog = IterationLog()
     if warm_state is not None:
-        forms_t = factory(cfg.p_target)
-        result = newton_solve(forms_t, warm_state, cfg.solver)
+        result = newton_solve(factory(cfg.p_target), warm_state, cfg.solver)
+        itlog.records.append(result)
         if result.converged:
             state = result.state
-            itlog = IterationLog([TargetRecord(cfg.p_target, result.iterations,
-                                               result.damping_events,
-                                               result.final_increment, True,
-                                               result.history)])
         else:
             log.warning("warm start failed at p=%.3f; falling back to "
                         "continuation", cfg.p_target)
     if state is None:
-        state, itlog = continuation_solve(cfg.p_target, factory, cfg.solver)
+        state, cont_log = continuation_solve(cfg.p_target, factory, cfg.solver)
+        itlog.records += cont_log.records
     forms = factory(cfg.p_target)
     return LevelSolution(mesh, forms.trial, test, forms, state, itlog)
 

@@ -22,8 +22,7 @@ never regularized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,32 +47,20 @@ class FormsError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LoadSpec:
-    """Right-hand side description.
+    """The benchmark source f(x) = |x - x0|^(-sigma).
 
-    ``radial_singular`` is the benchmark source f(x) = |x - x0|^(-sigma)
-    with sigma < 2 so that f stays locally integrable in 2D; ``custom``
-    wraps an arbitrary vectorized callable.
+    sigma < 2 keeps f locally integrable in 2D; sigma = 0 gives f = 1.
     """
 
-    kind: str = "radial_singular"
     sigma: float = 0.97
     x0: tuple[float, float] = (-1.0, -1.0)
-    func: Callable | None = None
 
     def __post_init__(self):
-        if self.kind == "radial_singular":
-            if not self.sigma < 2.0:
-                raise FormsError("sigma must be < 2 for an integrable load")
-        elif self.kind == "custom":
-            if self.func is None:
-                raise FormsError("custom load needs a callable")
-        else:
-            raise FormsError(f"unknown load kind {self.kind!r}")
+        if not self.sigma < 2.0:
+            raise FormsError("sigma must be < 2 for an integrable load")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the source on an (..., 2) array of points."""
-        if self.kind == "custom":
-            return self.func(points)
         diff = points - np.asarray(self.x0)
         r = np.sqrt((diff ** 2).sum(axis=-1))
         return r ** (-self.sigma)
@@ -92,23 +79,16 @@ class NonlinearForms:
     trial: DofMap
     test: DofMap
     load_free: np.ndarray
-    eps_floor: float = EPS_FLOOR  # Jacobian regularization scale, >= 0
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise FormsError("exponent p must be > 1")
-        if self.eps_floor < 0.0:
-            raise FormsError("regularization floor must be nonnegative")
         if self.trial.kind != P1 or self.test.kind != CR:
             raise FormsError("trial space must be P1 and test space CR")
         if self.trial.mesh is not self.test.mesh:
             raise FormsError("trial and test spaces must share one mesh")
         if self.load_free.shape != (self.test.n_free,):
             raise FormsError("load vector does not match the free test DOFs")
-
-    @property
-    def p_dual(self) -> float:
-        return self.p / (self.p - 1.0)
 
     @property
     def mesh(self):
@@ -153,7 +133,7 @@ def apply_duality_map(forms: NonlinearForms, r_coeffs: np.ndarray) -> np.ndarray
 def _jacobian_epsilon(forms: NonlinearForms, dm: DofMap, coeffs: np.ndarray) -> float:
     """Regularization scale: tied to the current gradient magnitude."""
     scale = broken_seminorm(dm, coeffs, forms.p)
-    return max(forms.eps_floor, forms.eps_floor * scale)
+    return max(EPS_FLOOR, EPS_FLOOR * scale)
 
 
 def _scatter_matrix(forms: NonlinearForms, blocks: np.ndarray,
@@ -225,15 +205,14 @@ def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray
 
     Integrates f against the CR basis with the given rule; all quadrature
     points are strictly interior, so a singular radial load is never
-    sampled at its center (asserted defensively).
+    sampled at its center (checked, raising :class:`FormsError`).
     """
     mesh = test_dm.mesh
     geo = geometry_of(mesh)
     pts = quad.physical_points(geo.tri_coords)  # (nt, nq, 2)
-    if load.kind == "radial_singular":
-        dist = np.linalg.norm(pts - np.asarray(load.x0), axis=-1)
-        if not np.all(dist > 0.0):
-            raise FormsError("quadrature point coincides with the load center")
+    dist = np.linalg.norm(pts - np.asarray(load.x0), axis=-1)
+    if not np.all(dist > 0.0):
+        raise FormsError("quadrature point coincides with the load center")
     fx = load(pts)
     phi = 1.0 - 2.0 * quad.points  # CR basis at the rule's barycentric points
     cells = 2.0 * geo.areas[:, None] * np.einsum(

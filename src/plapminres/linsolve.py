@@ -7,12 +7,11 @@ in the block system
     [ G   B ] [dr]   [rhs_top   ]
     [ B^T 0 ] [du] = [rhs_bottom].
 
-The default solver is a sparse direct LU factorization with partial
+The system is solved by a sparse direct LU factorization with partial
 pivoting; every solution is re-verified against the assembled matrix and
 polished by iterative refinement until it meets the requested relative
 residual, otherwise :class:`LinearSolveError` is raised so the nonlinear
-driver can treat the step as failed.  A MINRES fallback with a
-block-diagonal preconditioner is selectable for large systems.
+driver can treat the step as failed.
 """
 
 from __future__ import annotations
@@ -37,22 +36,15 @@ class LinearSolveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SaddleSystem:
-    """Assembled symmetric block system with concatenated right-hand side."""
+    """Assembled symmetric block system with concatenated right-hand side.
 
-    G: sp.csr_matrix
-    B: sp.csr_matrix
-    rhs_top: np.ndarray
-    rhs_bottom: np.ndarray
+    The first ``n_test`` unknowns are the test block ``dr``, the rest the
+    trial block ``du``.
+    """
+
     K: sp.csc_matrix
     rhs: np.ndarray
-
-    @property
-    def n_test(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def n_trial(self) -> int:
-        return self.B.shape[1]
+    n_test: int
 
 
 def assemble_saddle(G, B, rhs_top, rhs_bottom) -> SaddleSystem:
@@ -70,68 +62,38 @@ def assemble_saddle(G, B, rhs_top, rhs_bottom) -> SaddleSystem:
     if rhs_top.shape != (n,) or rhs_bottom.shape != (m,):
         raise ValueError("right-hand side blocks do not match the matrices")
     K = sp.bmat([[G, B], [B.T, None]], format="csc")
-    return SaddleSystem(G, B, rhs_top, rhs_bottom, K,
-                        np.concatenate([rhs_top, rhs_bottom]))
+    return SaddleSystem(K, np.concatenate([rhs_top, rhs_bottom]), n)
 
 
-def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10,
-                               method: str = "direct"):
+def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10):
     """Solve the saddle system to the requested relative residual.
 
     Returns ``(dr, du, rel_residual)`` with the residual certificate that
     was actually achieved.  Deterministic for fixed inputs.
     """
     rhs = system.rhs
+    n = system.n_test
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return (np.zeros(system.n_test), np.zeros(system.n_trial), 0.0)
+        return np.zeros(n), np.zeros(rhs.size - n), 0.0
 
     K = system.K
-    if method == "direct":
-        try:
-            lu = spla.splu(K, permc_spec="COLAMD")
-        except RuntimeError as exc:  # SuperLU reports exact singularity
-            raise LinearSolveError(str(exc), np.inf) from exc
-        x = lu.solve(rhs)
+    try:
+        lu = spla.splu(K, permc_spec="COLAMD")
+    except RuntimeError as exc:  # SuperLU reports exact singularity
+        raise LinearSolveError(str(exc), np.inf) from exc
+    x = lu.solve(rhs)
+    residual = rhs - K @ x
+    rel = float(np.linalg.norm(residual)) / rhs_norm
+    # one or two refinement sweeps recover the certificate when the
+    # factorization alone falls short on ill-conditioned systems
+    for _ in range(2):
+        if rel <= rel_tol:
+            break
+        x = x + lu.solve(residual)
         residual = rhs - K @ x
         rel = float(np.linalg.norm(residual)) / rhs_norm
-        # one or two refinement sweeps recover the certificate when the
-        # factorization alone falls short on ill-conditioned systems
-        for _ in range(2):
-            if rel <= rel_tol:
-                break
-            x = x + lu.solve(residual)
-            residual = rhs - K @ x
-            rel = float(np.linalg.norm(residual)) / rhs_norm
-    elif method == "minres":
-        x, rel = _minres_solve(system, rel_tol)
-    else:
-        raise ValueError(f"unknown linear solver method {method!r}")
 
     if not np.isfinite(rel) or rel > rel_tol:
         raise LinearSolveError("saddle-point solve failed", rel)
-    n = system.n_test
     return x[:n], x[n:], rel
-
-
-def _minres_solve(system: SaddleSystem, rel_tol: float):
-    """MINRES with a block-diagonal preconditioner built from G."""
-    n, m = system.n_test, system.n_trial
-    G_lu = spla.splu(system.G.tocsc(), permc_spec="COLAMD")
-    diag_g = np.maximum(system.G.diagonal(), 1e-30)
-    # Schur-complement surrogate: diagonal of B^T diag(G)^{-1} B
-    Bd = system.B.multiply(1.0 / np.sqrt(diag_g)[:, None]).tocsc()
-    schur_diag = np.maximum(np.asarray(Bd.power(2).sum(axis=0)).ravel(), 1e-30)
-
-    def precond(v):
-        out = np.empty_like(v)
-        out[:n] = G_lu.solve(v[:n])
-        out[n:] = v[n:] / schur_diag
-        return out
-
-    M = spla.LinearOperator((n + m, n + m), matvec=precond)
-    x, _ = spla.minres(system.K, system.rhs, M=M,
-                       rtol=max(rel_tol * 1e-2, 1e-14), maxiter=50 * (n + m))
-    rel = float(np.linalg.norm(system.rhs - system.K @ x)
-                / np.linalg.norm(system.rhs))
-    return x, rel

@@ -396,13 +396,6 @@ def check_mesh(m: Mesh, *, rel_tol: float = 1e-12) -> list[str]:
     return problems
 
 
-def validate_mesh(m: Mesh) -> None:
-    """Raise :class:`MeshError` if any mesh invariant is violated."""
-    problems = check_mesh(m)
-    if problems:
-        raise MeshError("; ".join(problems))
-
-
 def export_svg(m: Mesh, path, *, size: int = 640, stroke: str = "#1a1a1a",
                stroke_width: float = 0.8) -> None:
     """Write a wireframe snapshot of the mesh as an SVG file."""

@@ -10,9 +10,11 @@ the current iterate ``(r, u)`` and solves the symmetric saddle system
 where ``G`` is the duality-map Hessian, ``B`` the operator Jacobian, ``D``
 the duality-map action and ``N`` the p-Laplacian action.  Updates are
 damped by a backtracking line search on the Euclidean norm of the
-concatenated nonlinear residual; an accepted step never increases it
-(after the maximum number of halvings the best candidate is accepted and
-counted as a damping event).
+concatenated nonlinear residual: the step is halved until that norm does
+not increase.  If it still increases after the maximum number of
+halvings, the candidate with the smallest norm is accepted anyway, so an
+accepted step can increase the residual.  Every step that needed a
+halving, this one included, is counted as a damping event.
 
 Convergence is declared when the undamped increment, measured as the sum
 of the two broken seminorms at the current exponent, drops below the
@@ -71,11 +73,9 @@ class SolverOptions:
     max_newton: int = 50
     continuation_step: float = 0.10
     min_step: float = 1e-3
-    damping_enabled: bool = True
     backtrack_factor: float = 0.5
     max_backtracks: int = 12
     linear_rel_tol: float = 1e-10
-    linear_method: str = "direct"
 
     def __post_init__(self):
         if min(self.newton_tol, self.continuation_step, self.min_step,
@@ -86,15 +86,22 @@ class SolverOptions:
 
 
 @dataclass
-class TargetRecord:
-    """Newton statistics of one continuation target."""
+class NewtonResult:
+    """Outcome of one fixed-exponent Newton solve; one telemetry line.
 
-    p: float
+    ``state`` is the last iterate, at the exponent of the solve.
+    """
+
+    state: DiscreteState
     iterations: int
     damping_events: int
-    final_increment: float
     converged: bool
-    history: list[dict] = field(default_factory=list)
+    final_increment: float
+    history: list[dict]
+
+    @property
+    def p(self) -> float:
+        return self.state.p_current
 
     def as_json(self, **extra) -> str:
         payload = dict(extra)
@@ -112,9 +119,9 @@ class TargetRecord:
 
 @dataclass
 class IterationLog:
-    """Per-target records and the accumulated Newton iteration count."""
+    """Newton results in solve order and their accumulated counts."""
 
-    records: list[TargetRecord] = field(default_factory=list)
+    records: list[NewtonResult] = field(default_factory=list)
 
     @property
     def total_iterations(self) -> int:
@@ -123,19 +130,6 @@ class IterationLog:
     @property
     def total_damping_events(self) -> int:
         return sum(rec.damping_events for rec in self.records)
-
-    def to_jsonl(self) -> str:
-        return "\n".join(rec.as_json() for rec in self.records)
-
-
-@dataclass
-class NewtonResult:
-    state: DiscreteState
-    iterations: int
-    damping_events: int
-    converged: bool
-    final_increment: float
-    history: list[dict]
 
 
 def nonlinear_residual(forms: NonlinearForms, state: DiscreteState,
@@ -187,7 +181,7 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
         system = assemble_saddle(G, B, top, bottom)
         try:
             dr, du, lin_res = solve_symmetric_indefinite(
-                system, opts.linear_rel_tol, method=opts.linear_method)
+                system, opts.linear_rel_tol)
         except LinearSolveError as exc:
             history.append({"iteration": iteration, "error": str(exc)})
             return NewtonResult(DiscreteState(u, r, forms.p), iteration - 1,
@@ -207,7 +201,7 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
             norm_try = _residual_norm(top_try, bottom_try)
             if best is None or norm_try < best[0]:
                 best = (norm_try, u_try, r_try, B_try, top_try, bottom_try)
-            if norm_try <= res_norm or not opts.damping_enabled:
+            if norm_try <= res_norm:
                 break
             damped = True
             alpha *= opts.backtrack_factor
@@ -251,16 +245,13 @@ def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
     converged state, aborting with :class:`ContinuationError` when the
     step underflows ``opts.min_step``.
     """
-    if not p_target > 1.0:
-        raise ValueError("p_target must be > 1")
+    if not 1.0 < p_target < np.inf:
+        raise ValueError("p_target must be finite and > 1")
     log = IterationLog()
 
     forms2 = forms_factory(2.0)
     result = newton_solve(forms2, cold_state(forms2), opts)
-    log.records.append(TargetRecord(2.0, result.iterations,
-                                    result.damping_events,
-                                    result.final_increment, result.converged,
-                                    result.history))
+    log.records.append(result)
     if not result.converged:
         raise ContinuationError("linear stage p = 2 did not converge", log)
     state = result.state
@@ -279,11 +270,7 @@ def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
             forms_p = forms_factory(p_next)
             warm = DiscreteState(state.u, state.r, p_next)
             result = newton_solve(forms_p, warm, opts)
-            log.records.append(TargetRecord(p_next, result.iterations,
-                                            result.damping_events,
-                                            result.final_increment,
-                                            result.converged,
-                                            result.history))
+            log.records.append(result)
             if result.converged:
                 state = result.state
                 current = p_next

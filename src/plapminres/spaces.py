@@ -18,7 +18,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -165,17 +165,13 @@ class DofMap:
         full[self.free_dofs] = free_values
         return full
 
-    def free_part(self, full_values: np.ndarray) -> np.ndarray:
-        return np.asarray(full_values)[self.free_dofs]
-
     def zero_full(self) -> np.ndarray:
         """Full vector with zero free values and the constrained data."""
         return self.constrained_values.copy()
 
 
 def build_space(m: Mesh, kind: str,
-                boundary_values: Mapping[int, float] | Callable | None = None
-                ) -> DofMap:
+                boundary_values: Callable | None = None) -> DofMap:
     """Build the DOF map of a P1 or CR space on a mesh.
 
     Parameters
@@ -183,31 +179,22 @@ def build_space(m: Mesh, kind: str,
     m : Mesh
     kind : {"P1", "CR"}
     boundary_values : optional
-        Dirichlet data for the P1 space: either a mapping from boundary
-        vertex index to value, or a callable ``g(x, y)`` evaluated at the
-        boundary vertices.  Must be omitted for CR (whose boundary DOFs are
-        hard zeros) and may be omitted for homogeneous P1 data.
+        Dirichlet data for the P1 space: a callable ``g(x, y)`` evaluated
+        at the boundary vertices.  Must be omitted for CR (whose boundary
+        DOFs are hard zeros) and may be omitted for homogeneous P1 data.
 
     Raises
     ------
     SpaceError
-        For an unknown kind, for boundary data handed to a CR space, or
-        for a mapping that references a non-boundary vertex.
+        For an unknown kind or for boundary data handed to a CR space.
     """
     if kind == P1:
         n_total = m.n_vertices
         constrained = m.boundary_vertices()
         values = np.zeros(n_total)
-        if callable(boundary_values):
+        if boundary_values is not None:
             pts = m.vertices[constrained]
             values[constrained] = [boundary_values(x, y) for x, y in pts]
-        elif boundary_values is not None:
-            on_boundary = np.zeros(n_total, dtype=bool)
-            on_boundary[constrained] = True
-            for v, g in boundary_values.items():
-                if not on_boundary[v]:
-                    raise SpaceError(f"vertex {v} is not on the boundary")
-                values[v] = g
     elif kind == CR:
         if boundary_values is not None:
             raise SpaceError("CR test space has hard-zero boundary DOFs")
@@ -237,13 +224,6 @@ def element_dofs(dm: DofMap) -> np.ndarray:
     if dm.kind == P1:
         return dm.mesh.triangles
     return dm.mesh.triangle_edges
-
-
-def element_gradient(dm: DofMap, coeffs: np.ndarray, t: int) -> np.ndarray:
-    """Constant gradient of the piecewise-linear function on triangle ``t``."""
-    if not 0 <= t < dm.mesh.n_triangles:
-        raise SpaceError(f"triangle index {t} out of range")
-    return all_element_gradients(dm, coeffs)[t]
 
 
 def all_element_gradients(dm: DofMap, coeffs: np.ndarray) -> np.ndarray:

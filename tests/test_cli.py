@@ -26,6 +26,33 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="theta"):
             config_from_dict({"p_target": 2.0, "theta": 1.5})
 
+    @pytest.mark.parametrize("raw,field", [
+        pytest.param({"p_target": float("inf")}, "p_target", id="p_target-inf"),
+        pytest.param({"p_target": 2.0, "x0": [0.5]}, "x0", id="x0-short"),
+        pytest.param({"p_target": 2.0, "x0": 0.5}, "x0", id="x0-scalar"),
+        pytest.param({"p_target": 2.0, "x0": [0.0, float("nan")]}, "x0",
+                     id="x0-nan"),
+        pytest.param({"p_target": 2.0, "max_levels": 2.5}, "max_levels",
+                     id="max_levels-float"),
+        pytest.param({"p_target": 2.0, "max_levels": True}, "max_levels",
+                     id="max_levels-bool"),
+        pytest.param({"p_target": 2.0, "initial_n": 2.5}, "initial_n",
+                     id="initial_n-float"),
+        pytest.param({"p_target": 2.0, "pre_adapt_steps": 2.5},
+                     "pre_adapt_steps", id="pre_adapt_steps-float"),
+        pytest.param({"p_target": 2.0, "load_quad_degree": 0},
+                     "load_quad_degree", id="load_quad_degree-zero"),
+        pytest.param({"p_target": 2.0, "error_quad_degree": 0},
+                     "error_quad_degree", id="error_quad_degree-zero"),
+        pytest.param({"p_target": 2.0, "solver": {"linear_method": "minres"}},
+                     "linear_method", id="solver-linear_method"),
+        pytest.param({"p_target": 2.0, "solver": {"damping_enabled": False}},
+                     "damping_enabled", id="solver-damping_enabled"),
+    ])
+    def test_bad_value_names_field(self, raw, field):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(raw)
+
     def test_solver_options_forwarded(self):
         cfg = config_from_dict({"p_target": 2.0,
                                 "solver": {"max_newton": 7}})
@@ -48,6 +75,13 @@ class TestRunCommand:
         code = main(["run", "--config", str(path)])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_infinite_p_target_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"p_target": 1e400, "max_levels": 1}')
+        code = main(["run", "--config", str(path)])
+        assert code == 2
+        assert "p_target" in capsys.readouterr().err
 
 
 class TestCase1Command:

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from plapminres import driver, newton
 from plapminres.driver import ProblemConfig, pre_adapt_mesh, run_study, transfer_state
 from plapminres.estimate import ExactSolution, true_error
 from plapminres.forms import LoadSpec, assemble_load
@@ -165,6 +167,42 @@ class TestStudies:
         # the solutions agree regardless of the solve path
         assert warm_records[-1].error == pytest.approx(
             cold_records[-1].error, rel=1e-6)
+
+    def test_failed_warm_start_is_counted(self, tmp_path, monkeypatch):
+        real = newton.newton_solve
+        executed = []
+
+        def counted(forms, state, opts):
+            result = real(forms, state, opts)
+            executed.append(result)
+            return result
+
+        def failing(forms, state, opts):
+            # one iteration cannot reach the tolerance at p = 3
+            return counted(forms, state, replace(opts, max_newton=1))
+
+        monkeypatch.setattr(newton, "newton_solve", counted)
+        monkeypatch.setattr(driver, "newton_solve", failing)
+        out = tmp_path / "study"
+        records = run_study(ProblemConfig(p_target=3.0, max_levels=2,
+                                          warm_start="direct",
+                                          output_dir=str(out)))
+        assert len(records) == 2
+        warm = [res for res in executed if res.p == 3.0 and
+                res.iterations == 1 and not res.converged]
+        assert len(warm) == 1
+        telem = [json.loads(line) for line in
+                 (out / "telemetry.jsonl").read_text().splitlines()]
+        first = next(t for t in telem if t["level"] == 1)
+        assert (first["p"], first["iterations"], first["converged"]) == (
+            3.0, 1, False)
+        rows = (out / "records.csv").read_text().splitlines()[1:]
+        for level, row in enumerate(rows):
+            newton_total = int(row.split(",")[9])
+            assert newton_total == sum(t["iterations"] for t in telem
+                                       if t["level"] == level)
+        assert sum(r.newton_total for r in records) == sum(
+            res.iterations for res in executed)
 
     def test_abort_returns_partial_records(self, caplog):
         cfg = ProblemConfig(p_target=3.0, max_levels=2,

@@ -30,7 +30,7 @@ def make_forms(mesh, p, bc=None, load=None, quad_degree=4):
     trial = build_space(mesh, P1, bc)
     test = build_space(mesh, CR)
     if load is None:
-        load = LoadSpec(kind="custom", func=lambda pts: np.ones(pts.shape[:-1]))
+        load = LoadSpec(sigma=0.0)  # f = 1
     load_free = assemble_load(load, test, triangle_rule(quad_degree))
     return NonlinearForms(p, trial, test, load_free)
 
@@ -58,10 +58,6 @@ class TestLoadSpec:
     def test_sigma_bound(self):
         with pytest.raises(FormsError):
             LoadSpec(sigma=2.0)
-
-    def test_custom_requires_callable(self):
-        with pytest.raises(FormsError):
-            LoadSpec(kind="custom")
 
 
 class TestApplyOperator:
@@ -231,7 +227,7 @@ class TestAssembleLoad:
     def test_unit_load_gives_support_area_thirds(self):
         m = unit_square_mesh(2)
         test = build_space(m, CR)
-        load = LoadSpec(kind="custom", func=lambda pts: np.ones(pts.shape[:-1]))
+        load = LoadSpec(sigma=0.0)  # f = 1
         vec = assemble_load(load, test, triangle_rule(2))
         geo = geometry_of(m)
         support = np.zeros(test.n_total)
@@ -240,13 +236,6 @@ class TestAssembleLoad:
                 support[e] += geo.areas[t]
         want = support[test.free_dofs] / 3.0
         assert np.abs(vec - want).max() < 1e-14
-
-    def test_zero_load(self):
-        m = unit_square_mesh(2)
-        test = build_space(m, CR)
-        load = LoadSpec(kind="custom", func=lambda pts: np.zeros(pts.shape[:-1]))
-        assert np.array_equal(assemble_load(load, test, triangle_rule(2)),
-                              np.zeros(test.n_free))
 
     def test_singular_load_is_finite(self):
         m = unit_square_mesh(4)

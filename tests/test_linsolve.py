@@ -10,11 +10,15 @@ from plapminres.linsolve import (
 from tests.oracles import dense_saddle_solve
 
 
-def random_spd_saddle(rng, n, m):
+def random_spd_blocks(rng, n, m):
     A = rng.standard_normal((n, n))
     G = sp.csr_matrix(A @ A.T + n * np.eye(n))
     B = sp.csr_matrix(rng.standard_normal((n, m)))
-    return assemble_saddle(G, B, rng.standard_normal(n), rng.standard_normal(m))
+    return G, B, rng.standard_normal(n), rng.standard_normal(m)
+
+
+def random_spd_saddle(rng, n, m):
+    return assemble_saddle(*random_spd_blocks(rng, n, m))
 
 
 class TestAssembleSaddle:
@@ -34,9 +38,10 @@ class TestAssembleSaddle:
 
     def test_block_recovery(self):
         rng = np.random.default_rng(1)
-        system = random_spd_saddle(rng, 5, 2)
+        G, B, top, bottom = random_spd_blocks(rng, 5, 2)
+        system = assemble_saddle(G, B, top, bottom)
         block = system.K[:5, 5:].toarray()
-        assert np.array_equal(block, system.B.toarray())
+        assert np.array_equal(block, B.toarray())
 
     def test_trailing_block_zero(self):
         rng = np.random.default_rng(2)
@@ -72,10 +77,9 @@ class TestSolve:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(4)
-        system = random_spd_saddle(rng, 30, 10)
-        dr, du, _ = solve_symmetric_indefinite(system)
-        dr0, du0 = dense_saddle_solve(system.G, system.B,
-                                      system.rhs_top, system.rhs_bottom)
+        blocks = random_spd_blocks(rng, 30, 10)
+        dr, du, _ = solve_symmetric_indefinite(assemble_saddle(*blocks))
+        dr0, du0 = dense_saddle_solve(*blocks)
         scale = np.linalg.norm(np.concatenate([dr0, du0]))
         assert np.linalg.norm(dr - dr0) <= 1e-8 * scale
         assert np.linalg.norm(du - du0) <= 1e-8 * scale
@@ -100,13 +104,3 @@ class TestSolve:
         system = assemble_saddle(G, B, np.ones(2), np.ones(2))
         with pytest.raises(LinearSolveError):
             solve_symmetric_indefinite(system)
-
-    def test_minres_agrees_with_direct(self):
-        rng = np.random.default_rng(7)
-        system = random_spd_saddle(rng, 25, 8)
-        dr0, du0, _ = solve_symmetric_indefinite(system, method="direct")
-        dr1, du1, rel = solve_symmetric_indefinite(system, rel_tol=1e-8,
-                                                   method="minres")
-        assert rel <= 1e-8
-        scale = np.linalg.norm(np.concatenate([dr0, du0]))
-        assert np.linalg.norm(dr1 - dr0) <= 1e-6 * scale

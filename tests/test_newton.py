@@ -195,7 +195,7 @@ class TestGalerkinEquivalence:
     def test_telemetry_serializes(self):
         _, _, _, factory = smooth_setup(2)
         _, log = continuation_solve(1.5, factory, SolverOptions())
-        lines = log.to_jsonl().splitlines()
+        lines = [rec.as_json() for rec in log.records]
         assert len(lines) == len(log.records)
         import json
 

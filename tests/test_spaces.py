@@ -10,7 +10,6 @@ from plapminres.spaces import (
     broken_seminorm,
     build_space,
     cr_interpolate,
-    element_gradient,
     embed_p1_in_cr,
     gauss_edge_mean,
     geometry_of,
@@ -44,20 +43,9 @@ class TestBuildSpace:
         both = np.concatenate([dm.free_dofs, dm.constrained_dofs])
         assert np.array_equal(np.sort(both), np.arange(dm.n_total))
 
-    def test_boundary_map_applied(self):
-        m = unit_square_mesh(2)
-        dm = build_space(m, P1, {0: 3.5})
-        assert dm.constrained_values[0] == 3.5
-
-    def test_boundary_map_rejects_interior_vertex(self):
-        m = unit_square_mesh(2)
-        interior = np.setdiff1d(np.arange(m.n_vertices), m.boundary_vertices())
-        with pytest.raises(SpaceError):
-            build_space(m, P1, {int(interior[0]): 1.0})
-
     def test_cr_rejects_boundary_values(self):
         with pytest.raises(SpaceError):
-            build_space(unit_square_mesh(2), CR, {0: 1.0})
+            build_space(unit_square_mesh(2), CR, lambda x, y: 1.0)
 
     def test_callable_boundary_data(self):
         m = unit_square_mesh(2)
@@ -123,7 +111,7 @@ class TestElementGradient:
     def test_zero_coeffs(self):
         m = unit_square_mesh(2)
         dm = build_space(m, P1)
-        g = element_gradient(dm, np.zeros(dm.n_total), 0)
+        g = all_element_gradients(dm, np.zeros(dm.n_total))[0]
         assert np.array_equal(g, np.zeros(2))
 
     def test_linear_reproduction_x(self):
@@ -139,12 +127,6 @@ class TestElementGradient:
         coeffs = p1_interpolate(m, lambda x, y: 3 * x - 2 * y)
         g = all_element_gradients(dm, coeffs)
         assert np.abs(g - np.array([3.0, -2.0])).max() < 1e-12
-
-    def test_out_of_range(self):
-        m = unit_square_mesh(1)
-        dm = build_space(m, P1)
-        with pytest.raises(SpaceError):
-            element_gradient(dm, np.zeros(dm.n_total), 99)
 
     def test_cr_gradient_linear(self):
         m = unit_square_mesh(2)
