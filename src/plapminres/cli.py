@@ -53,10 +53,9 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ProblemConfig:
             kwargs[key] = value
         else:
             raise ConfigError(f"{source}: unknown field {key!r}")
-    if isinstance(kwargs.get("x0"), list):
-        kwargs["x0"] = tuple(kwargs["x0"])
-    if "snapshot_levels" in kwargs:
-        kwargs["snapshot_levels"] = tuple(kwargs["snapshot_levels"])
+    for key in ("x0", "snapshot_levels"):
+        if isinstance(kwargs.get(key), list):
+            kwargs[key] = tuple(kwargs[key])
     try:
         kwargs["solver"] = SolverOptions(**solver_kwargs)
         return ProblemConfig(**kwargs)

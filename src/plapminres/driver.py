@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-import numbers
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -44,6 +42,8 @@ from .newton import (
     IterationLog,
     SolverOptions,
     continuation_solve,
+    is_finite_real,
+    is_integer,
     newton_solve,
 )
 from .spaces import CR, P1, DofMap, build_space, geometry_of, triangle_rule
@@ -74,20 +74,24 @@ class ProblemConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if not (_is_finite_real(self.p_target) and self.p_target > 1.0):
+        if not (is_finite_real(self.p_target) and self.p_target > 1.0):
             raise ValueError("p_target must be a finite number > 1")
         if not (isinstance(self.x0, (tuple, list)) and len(self.x0) == 2
-                and all(map(_is_finite_real, self.x0))):
+                and all(map(is_finite_real, self.x0))):
             raise ValueError("x0 must be two finite numbers")
         for name in ("initial_n", "max_levels", "pre_adapt_steps",
                      "load_quad_degree", "error_quad_degree"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
-        if not self.sigma < 2.0:
-            raise ValueError("sigma must be < 2")
-        if not 0.0 < self.theta <= 1.0:
+        if not (isinstance(self.snapshot_levels, (tuple, list))
+                and all(map(is_integer, self.snapshot_levels))):
+            raise ValueError("snapshot_levels must be a list of integers")
+        if not (is_finite_real(self.sigma) and self.sigma < 2.0):
+            raise ValueError("sigma must be a finite number < 2")
+        if not (is_finite_real(self.theta) and 0.0 < self.theta <= 1.0):
             raise ValueError("theta must lie in (0, 1]")
+        if not (self.output_dir is None or isinstance(self.output_dir, str)):
+            raise ValueError("output_dir must be a string or null")
         for name in ("max_levels", "initial_n", "load_quad_degree",
                      "error_quad_degree"):
             if getattr(self, name) < 1:
@@ -96,11 +100,6 @@ class ProblemConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.warm_start not in WARM_STARTS:
             raise ValueError(f"warm_start must be one of {WARM_STARTS}")
-
-
-def _is_finite_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .spaces import (
     CR,
@@ -95,12 +94,11 @@ class NonlinearForms:
         return self.trial.mesh
 
 
-def _gather_free_test(forms: NonlinearForms, cell_values: np.ndarray) -> np.ndarray:
-    """Accumulate (nt, 3) per-element test contributions into free DOFs."""
-    dofs = element_dofs(forms.test)
-    full = np.zeros(forms.test.n_total)
-    np.add.at(full, dofs.ravel(), cell_values.ravel())
-    return full[forms.test.free_dofs]
+def _gather_free(dm: DofMap, cell_values: np.ndarray) -> np.ndarray:
+    """Accumulate (nt, 3) per-element contributions into the free DOFs of dm."""
+    full = np.bincount(element_dofs(dm).ravel(), weights=cell_values.ravel(),
+                       minlength=dm.n_total)
+    return full[dm.free_dofs]
 
 
 def apply_plaplacian(forms: NonlinearForms, u_coeffs: np.ndarray) -> np.ndarray:
@@ -118,7 +116,7 @@ def apply_plaplacian(forms: NonlinearForms, u_coeffs: np.ndarray) -> np.ndarray:
     w[nz] = s[nz] ** (forms.p - 2.0)
     flux = geo.areas[:, None] * w[:, None] * g
     cells = np.einsum("td,tid->ti", flux, geo.grad_cr)
-    return _gather_free_test(forms, cells)
+    return _gather_free(forms.test, cells)
 
 
 def apply_duality_map(forms: NonlinearForms, r_coeffs: np.ndarray) -> np.ndarray:
@@ -127,7 +125,7 @@ def apply_duality_map(forms: NonlinearForms, r_coeffs: np.ndarray) -> np.ndarray
     g = all_element_gradients(forms.test, r_coeffs)
     w = np.sign(g) * np.abs(g) ** (forms.p - 1.0)
     cells = np.einsum("t,td,tid->ti", geo.areas, w, geo.grad_cr)
-    return _gather_free_test(forms, cells)
+    return _gather_free(forms.test, cells)
 
 
 def _jacobian_epsilon(forms: NonlinearForms, dm: DofMap, coeffs: np.ndarray) -> float:
@@ -136,27 +134,10 @@ def _jacobian_epsilon(forms: NonlinearForms, dm: DofMap, coeffs: np.ndarray) -> 
     return max(EPS_FLOOR, EPS_FLOOR * scale)
 
 
-def _scatter_matrix(forms: NonlinearForms, blocks: np.ndarray,
-                    row_dm: DofMap, col_dm: DofMap) -> sp.csr_matrix:
-    """Scatter (nt, 3, 3) element blocks into a free x free CSR matrix."""
-    rows_full = element_dofs(row_dm)
-    cols_full = element_dofs(col_dm)
-    nt = blocks.shape[0]
-    rows = np.repeat(rows_full, 3, axis=1).ravel()
-    cols = np.tile(cols_full, (1, 3)).ravel()
-    data = blocks.reshape(nt, 9).ravel()
-
-    ri = row_dm._free_index[rows]
-    ci = col_dm._free_index[cols]
-    keep = (ri >= 0) & (ci >= 0)
-    mat = sp.coo_matrix((data[keep], (ri[keep], ci[keep])),
-                        shape=(row_dm.n_free, col_dm.n_free))
-    return mat.tocsr()
-
-
 def assemble_operator_jacobian(forms: NonlinearForms,
-                               u_coeffs: np.ndarray) -> sp.csr_matrix:
-    """Derivative of the p-Laplacian action at u: free test x free trial.
+                               u_coeffs: np.ndarray) -> np.ndarray:
+    """Derivative of the p-Laplacian action at u, as (nt, 3, 3) element
+    blocks (local test x local trial DOFs).
 
     Entry (i, j) integrates
         mu_eps(g) * [grad(psi_j) . grad(phi_i)
@@ -177,17 +158,28 @@ def assemble_operator_jacobian(forms: NonlinearForms,
     du = np.einsum("td,tjd->tj", g, gp)
     dv = np.einsum("td,tid->ti", g, gc)
     rank1 = (forms.p - 2.0) * np.einsum("ti,tj->tij", dv, du) / s2[:, None, None]
-    blocks = (geo.areas * mu)[:, None, None] * (base + rank1)
-    return _scatter_matrix(forms, blocks, forms.test, forms.trial)
+    return (geo.areas * mu)[:, None, None] * (base + rank1)
+
+
+def apply_jacobian_transpose(forms: NonlinearForms, B_blocks: np.ndarray,
+                             r_coeffs: np.ndarray) -> np.ndarray:
+    """B^T r over the free trial DOFs, from the element blocks of B.
+
+    Only the free entries of ``r_coeffs`` enter.
+    """
+    test = forms.test
+    r = test.full_from_free(r_coeffs[test.free_dofs])
+    cells = np.einsum("tij,ti->tj", B_blocks, r[element_dofs(test)])
+    return _gather_free(forms.trial, cells)
 
 
 def assemble_duality_jacobian(forms: NonlinearForms,
-                              r_coeffs: np.ndarray) -> sp.csr_matrix:
-    """Hessian of (1/p)*||r||^p: symmetric free test x free test matrix.
+                              r_coeffs: np.ndarray) -> np.ndarray:
+    """Hessian of (1/p)*||r||^p, as (nt, 3, 3) test x test element blocks.
 
     Componentwise weights (p-1) * (g_k^2 + eps^2)^((p-2)/2) make the matrix
-    positive definite for eps > 0; the assembled matrix is symmetrized
-    exactly.
+    positive definite for eps > 0; every element block is symmetrized
+    exactly, so the assembled matrix is too.
     """
     geo = geometry_of(forms.mesh)
     g = all_element_gradients(forms.test, r_coeffs)
@@ -196,8 +188,7 @@ def assemble_duality_jacobian(forms: NonlinearForms,
     gc = geo.grad_cr
     blocks = geo.areas[:, None, None] * np.einsum(
         "td,tid,tjd->tij", d, gc, gc)
-    mat = _scatter_matrix(forms, blocks, forms.test, forms.test)
-    return (mat + mat.T) * 0.5
+    return (blocks + blocks.transpose(0, 2, 1)) * 0.5
 
 
 def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray:
@@ -217,9 +208,7 @@ def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray
     phi = 1.0 - 2.0 * quad.points  # CR basis at the rule's barycentric points
     cells = 2.0 * geo.areas[:, None] * np.einsum(
         "q,tq,qi->ti", quad.weights, fx, phi)
-    full = np.zeros(test_dm.n_total)
-    np.add.at(full, element_dofs(test_dm).ravel(), cells.ravel())
-    return full[test_dm.free_dofs]
+    return _gather_free(test_dm, cells)
 
 
 def local_indicators(forms: NonlinearForms, r_coeffs: np.ndarray) -> np.ndarray:

@@ -7,20 +7,42 @@ in the block system
     [ G   B ] [dr]   [rhs_top   ]
     [ B^T 0 ] [du] = [rhs_bottom].
 
-The system is solved by a sparse direct LU factorization with partial
-pivoting; every solution is re-verified against the assembled matrix and
-polished by iterative refinement until it meets the requested relative
-residual, otherwise :class:`LinearSolveError` is raised so the nonlinear
+The sparsity pattern of K = [[G, B], [B^T, 0]] depends on the mesh alone.
+:func:`saddle_pattern` builds it once per mesh as a :class:`SaddlePattern`
+holding the CSC structure of K and the position in ``K.data`` of every
+entry of the (nt, 3, 3) element blocks of G and B; a Newton step then
+fills K with one ``np.bincount``.  G entries that vanish for every
+exponent are left out of the pattern: stored zeros would add fill to the
+factorization.
+
+K is factored as a symmetric matrix: SuperLU with a minimum-degree
+ordering of the pattern of K + K^T, recomputed at every factorization, and
+no off-diagonal pivoting (``diag_pivot_thresh=0``).  Every solution is
+re-verified against K and polished by up to two iterative-refinement
+sweeps until it meets the requested relative residual.  Static pivoting
+can break down on the zero (2, 2) block, so when that factorization raises
+or misses the residual, the system is factored once more with a COLAMD
+column ordering and partial pivoting, under the same certificate.  Only
+when that fails too is :class:`LinearSolveError` raised, so the nonlinear
 driver can treat the step as failed.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .mesh import Mesh
+from .spaces import DofMap, element_dofs, geometry_of
+
+# fill-reducing symmetric factorization, then the general-purpose fallback
+_SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+_GENERAL_LU = dict(permc_spec="COLAMD")
 
 
 class LinearSolveError(RuntimeError):
@@ -32,6 +54,91 @@ class LinearSolveError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved relative residual {achieved:.3e})")
         self.achieved = achieved
+
+
+@dataclass(frozen=True, eq=False)
+class SaddlePattern:
+    """Fixed CSC structure of K = [[G, B], [B^T, 0]] on one mesh.
+
+    ``slots`` has one entry per entry of the concatenated element blocks
+    ``[G, B, B]`` (each (nt, 3, 3), the second B standing for B^T): its
+    position in ``K.data``, or the dump slot ``nnz`` for entries on a
+    constrained DOF and for the G entries the pattern drops.
+    """
+
+    n_test: int
+    n_trial: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def matrix(self, G_blocks: np.ndarray, B_blocks: np.ndarray) -> sp.csc_matrix:
+        """K with the given (nt, 3, 3) element blocks of G and B."""
+        values = np.concatenate([G_blocks.ravel(), B_blocks.ravel(),
+                                 B_blocks.ravel()])
+        data = np.bincount(self.slots, weights=values,
+                           minlength=self.nnz + 1)[:self.nnz]
+        size = self.n_test + self.n_trial
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(size, size))
+
+
+def _build_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
+    """Pattern of K over the free DOFs of a CR test and a P1 trial space.
+
+    A G entry integrates sum_k w_k (d_k phi_i)(d_k phi_j) with weights
+    w_k > 0; the entries where both products of derivatives vanish, which
+    happens for every exponent on the legs of axis-aligned right
+    triangles, are dropped.
+    """
+    rows_t = test._free_index[element_dofs(test)]
+    rows_u = trial._free_index[element_dofs(trial)]
+    gc = geometry_of(test.mesh).grad_cr
+    g_live = (gc[:, :, None, :] * gc[:, None, :, :] != 0.0).any(axis=-1)
+    n, m = test.n_free, trial.n_free
+
+    shape = g_live.shape
+    g_rows = np.broadcast_to(rows_t[:, :, None], shape)
+    g_cols = np.broadcast_to(rows_t[:, None, :], shape)
+    b_cols = np.broadcast_to(n + rows_u[:, None, :], shape)
+    g_keep = (g_rows >= 0) & (g_cols >= 0) & g_live
+    b_keep = (g_rows >= 0) & (b_cols >= n)
+    rows = np.concatenate([g_rows.ravel(), g_rows.ravel(), b_cols.ravel()])
+    cols = np.concatenate([g_cols.ravel(), b_cols.ravel(), g_rows.ravel()])
+    keep = np.concatenate([g_keep.ravel(), b_keep.ravel(), b_keep.ravel()])
+
+    size = n + m
+    keys, inverse = np.unique(cols[keep] * size + rows[keep],
+                              return_inverse=True)  # column-major order
+    slots = np.full(keep.size, keys.size)
+    slots[keep] = inverse
+    indptr = np.searchsorted(keys // size, np.arange(size + 1))
+    indices = keys % size
+    for arr in (indptr, indices, slots):
+        arr.setflags(write=False)
+    return SaddlePattern(n, m, indptr, indices, slots)
+
+
+_PATTERN_CACHE: "weakref.WeakKeyDictionary[Mesh, SaddlePattern]" = weakref.WeakKeyDictionary()
+
+
+def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
+    """Memoized :class:`SaddlePattern` of a CR test and a P1 trial space.
+
+    Both spaces constrain exactly the boundary DOFs of their mesh, so the
+    pattern depends on the mesh alone.
+    """
+    if trial.mesh is not test.mesh:
+        raise ValueError("test and trial spaces must share one mesh")
+    pattern = _PATTERN_CACHE.get(test.mesh)
+    if pattern is None:
+        pattern = _build_pattern(test, trial)
+        _PATTERN_CACHE[test.mesh] = pattern
+    return pattern
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,39 +154,33 @@ class SaddleSystem:
     n_test: int
 
 
-def assemble_saddle(G, B, rhs_top, rhs_bottom) -> SaddleSystem:
-    """Validate block dimensions and assemble K = [[G, B], [B^T, 0]]."""
-    G = sp.csr_matrix(G)
-    B = sp.csr_matrix(B)
+def assemble_saddle(test: DofMap, trial: DofMap, G_blocks, B_blocks,
+                    rhs_top, rhs_bottom) -> SaddleSystem:
+    """Assemble K = [[G, B], [B^T, 0]] over the free DOFs of both spaces.
+
+    ``G_blocks`` (test x test, symmetric) and ``B_blocks`` (test x trial)
+    are (nt, 3, 3) element blocks in the local DOF order of
+    :func:`~plapminres.spaces.element_dofs`.
+    """
+    shape = (test.mesh.n_triangles, 3, 3)
+    G_blocks = np.asarray(G_blocks, dtype=float)
+    B_blocks = np.asarray(B_blocks, dtype=float)
     rhs_top = np.asarray(rhs_top, dtype=float)
     rhs_bottom = np.asarray(rhs_bottom, dtype=float)
-    n = G.shape[0]
-    m = B.shape[1]
-    if G.shape != (n, n):
-        raise ValueError(f"G must be square, got {G.shape}")
-    if B.shape[0] != n:
-        raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
-    if rhs_top.shape != (n,) or rhs_bottom.shape != (m,):
-        raise ValueError("right-hand side blocks do not match the matrices")
-    K = sp.bmat([[G, B], [B.T, None]], format="csc")
-    return SaddleSystem(K, np.concatenate([rhs_top, rhs_bottom]), n)
+    if G_blocks.shape != shape or B_blocks.shape != shape:
+        raise ValueError(f"element blocks must have shape {shape}")
+    pattern = saddle_pattern(test, trial)
+    if rhs_top.shape != (pattern.n_test,) or rhs_bottom.shape != (pattern.n_trial,):
+        raise ValueError("right-hand side blocks do not match the free DOFs")
+    return SaddleSystem(pattern.matrix(G_blocks, B_blocks),
+                        np.concatenate([rhs_top, rhs_bottom]), pattern.n_test)
 
 
-def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10):
-    """Solve the saddle system to the requested relative residual.
-
-    Returns ``(dr, du, rel_residual)`` with the residual certificate that
-    was actually achieved.  Deterministic for fixed inputs.
-    """
-    rhs = system.rhs
-    n = system.n_test
+def _certified_solve(K, rhs, rel_tol: float, factor_options: dict):
+    """Factor K, solve and refine; returns ``(x, rel_residual)``."""
     rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros(n), np.zeros(rhs.size - n), 0.0
-
-    K = system.K
     try:
-        lu = spla.splu(K, permc_spec="COLAMD")
+        lu = spla.splu(K, **factor_options)
     except RuntimeError as exc:  # SuperLU reports exact singularity
         raise LinearSolveError(str(exc), np.inf) from exc
     x = lu.solve(rhs)
@@ -96,4 +197,27 @@ def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10):
 
     if not np.isfinite(rel) or rel > rel_tol:
         raise LinearSolveError("saddle-point solve failed", rel)
-    return x[:n], x[n:], rel
+    return x, rel
+
+
+def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10):
+    """Solve the saddle system to the requested relative residual.
+
+    Returns ``(dr, du, rel_residual, fell_back)``: the residual certificate
+    that was actually achieved, and whether the symmetric factorization
+    was refused and the COLAMD fallback produced the solution.  Raises
+    :class:`LinearSolveError` only after both factorizations failed.
+    Deterministic for fixed inputs.
+    """
+    rhs = system.rhs
+    n = system.n_test
+    if not np.any(rhs):
+        return np.zeros(n), np.zeros(rhs.size - n), 0.0, False
+
+    try:
+        x, rel = _certified_solve(system.K, rhs, rel_tol, _SYMMETRIC_LU)
+        fell_back = False
+    except LinearSolveError:
+        x, rel = _certified_solve(system.K, rhs, rel_tol, _GENERAL_LU)
+        fell_back = True
+    return x[:n], x[n:], rel, fell_back

@@ -31,6 +31,8 @@ the previous state and halving the local step after a failed solve.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,7 @@ import numpy as np
 from .forms import (
     NonlinearForms,
     apply_duality_map,
+    apply_jacobian_transpose,
     apply_plaplacian,
     assemble_duality_jacobian,
     assemble_operator_jacobian,
@@ -67,6 +70,17 @@ class DiscreteState:
             raise ValueError("state coefficients must be finite")
 
 
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     newton_tol: float = 1e-8
@@ -78,9 +92,21 @@ class SolverOptions:
     linear_rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.newton_tol, self.continuation_step, self.min_step,
-               self.linear_rel_tol) <= 0 or self.max_newton < 1:
-            raise ValueError("solver options must be positive")
+        for name in ("max_newton", "max_backtracks"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("newton_tol", "continuation_step", "min_step",
+                     "backtrack_factor", "linear_rel_tol"):
+            if not is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
+        for name in ("newton_tol", "max_newton", "continuation_step",
+                     "min_step", "backtrack_factor", "linear_rel_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be >= 0")
+        if not self.backtrack_factor < 1:
+            raise ValueError("backtrack_factor must be < 1")
         if self.continuation_step < self.min_step:
             raise ValueError("continuation_step must be >= min_step")
 
@@ -90,6 +116,8 @@ class NewtonResult:
     """Outcome of one fixed-exponent Newton solve; one telemetry line.
 
     ``state`` is the last iterate, at the exponent of the solve.
+    ``linear_fallbacks`` counts the linear solves whose symmetric
+    factorization was refused (see :mod:`plapminres.linsolve`).
     """
 
     state: DiscreteState
@@ -98,6 +126,7 @@ class NewtonResult:
     converged: bool
     final_increment: float
     history: list[dict]
+    linear_fallbacks: int
 
     @property
     def p(self) -> float:
@@ -110,6 +139,7 @@ class NewtonResult:
             "damping_events": self.damping_events,
             "final_increment": self.final_increment,
             "converged": self.converged,
+            "linear_fallbacks": self.linear_fallbacks,
             "increments": [h.get("increment") for h in self.history],
             "linear_residuals": [h.get("linear_residual")
                                  for h in self.history],
@@ -138,14 +168,15 @@ def nonlinear_residual(forms: NonlinearForms, state: DiscreteState,
 
     Returns ``(top, bottom)`` over free test and free trial DOFs; both
     vanish at an exact discrete solution.  ``operator_jacobian`` may pass a
-    pre-assembled Jacobian at ``state.u`` to avoid recomputation.
+    pre-assembled Jacobian at ``state.u`` (its element blocks) to avoid
+    recomputation.
     """
     B = operator_jacobian
     if B is None:
         B = assemble_operator_jacobian(forms, state.u)
     top = (forms.load_free - apply_duality_map(forms, state.r)
            - apply_plaplacian(forms, state.u))
-    bottom = -(B.T @ state.r[forms.test.free_dofs])
+    bottom = -apply_jacobian_transpose(forms, B, state.r)
     return top, bottom
 
 
@@ -174,18 +205,22 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
 
     history: list[dict] = []
     damping_events = 0
+    fallbacks = 0
     increment = np.inf
 
     for iteration in range(1, opts.max_newton + 1):
         G = assemble_duality_jacobian(forms, r)
-        system = assemble_saddle(G, B, top, bottom)
+        system = assemble_saddle(test, trial, G, B, top, bottom)
         try:
-            dr, du, lin_res = solve_symmetric_indefinite(
+            dr, du, lin_res, fell_back = solve_symmetric_indefinite(
                 system, opts.linear_rel_tol)
         except LinearSolveError as exc:
+            # raised only after the symmetric factorization was refused
             history.append({"iteration": iteration, "error": str(exc)})
             return NewtonResult(DiscreteState(u, r, forms.p), iteration - 1,
-                                damping_events, False, increment, history)
+                                damping_events, False, increment, history,
+                                fallbacks + 1)
+        fallbacks += fell_back
 
         alpha = 1.0
         damped = False
@@ -222,10 +257,11 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
 
         if increment < opts.newton_tol or res_norm <= res_floor:
             return NewtonResult(DiscreteState(u, r, forms.p), iteration,
-                                damping_events, True, increment, history)
+                                damping_events, True, increment, history,
+                                fallbacks)
 
     return NewtonResult(DiscreteState(u, r, forms.p), opts.max_newton,
-                        damping_events, False, increment, history)
+                        damping_events, False, increment, history, fallbacks)
 
 
 def cold_state(forms: NonlinearForms) -> DiscreteState:

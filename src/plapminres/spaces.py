@@ -259,45 +259,3 @@ def broken_seminorm(dm: DofMap, coeffs: np.ndarray, p: float) -> float:
     g = all_element_gradients(dm, coeffs)
     mass = geo.areas @ (np.abs(g) ** p).sum(axis=1)
     return float(mass ** (1.0 / p))
-
-
-def cr_interpolate(m: Mesh, edge_mean_evaluator: Callable) -> np.ndarray:
-    """Crouzeix-Raviart interpolation from edge means.
-
-    ``edge_mean_evaluator(a, b)`` must return the mean of the target
-    function over the segment with endpoint coordinates ``a`` and ``b``.
-    The returned full CR coefficient vector reproduces those edge means
-    (the midpoint value of a linear function equals its edge mean), and as
-    a consequence preserves the mean gradient of the target on every
-    element.
-    """
-    ev = m.vertices[m.edges]
-    return np.array([edge_mean_evaluator(a, b) for a, b in ev])
-
-
-def gauss_edge_mean(f: Callable, n_points: int = 6) -> Callable:
-    """Edge-mean evaluator for a pointwise function via Gauss-Legendre."""
-    xg, wg = leggauss(n_points)
-    s = 0.5 * (xg + 1.0)
-    w = 0.5 * wg
-
-    def mean(a, b):
-        pts = a[None, :] + s[:, None] * (b - a)[None, :]
-        return float(w @ np.array([f(x, y) for x, y in pts]))
-
-    return mean
-
-
-def embed_p1_in_cr(m: Mesh, p1_coeffs: np.ndarray) -> np.ndarray:
-    """CR coefficients of a P1 function (edge midpoint = mean of endpoints).
-
-    The embedded function is pointwise identical to the P1 original, so
-    its element gradients agree exactly.
-    """
-    p1_coeffs = np.asarray(p1_coeffs)
-    return 0.5 * (p1_coeffs[m.edges[:, 0]] + p1_coeffs[m.edges[:, 1]])
-
-
-def p1_interpolate(m: Mesh, f: Callable) -> np.ndarray:
-    """Vertex interpolant of a pointwise function ``f(x, y)``."""
-    return np.array([f(x, y) for x, y in m.vertices])

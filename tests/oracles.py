@@ -1,13 +1,16 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and shared helpers of the test suite.
 
-Everything in here deliberately avoids the code paths it is meant to
-check: polygon integrals go through the divergence theorem and 1D Gauss
-rules, the Poisson reference solve assembles the standard P1 Galerkin
-system from scratch, and the saddle-point reference uses a dense LAPACK
-factorization.
+The oracles deliberately avoid the code paths they are meant to check:
+polygon integrals go through the divergence theorem and 1D Gauss rules,
+the Poisson reference solve assembles the standard P1 Galerkin system
+from scratch, the saddle-point reference uses a dense LAPACK
+factorization, and the reference saddle matrix is assembled through COO,
+CSR and ``sp.bmat`` instead of the per-mesh pattern.  The interpolation
+helpers build discrete functions for the tests.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 
@@ -120,3 +123,96 @@ def dense_saddle_solve(G, B, rhs_top, rhs_bottom):
     K[n:, :n] = B.T
     x = np.linalg.solve(K, np.concatenate([rhs_top, rhs_bottom]))
     return x[:n], x[n:]
+
+
+def scatter_matrix(blocks, row_dm, col_dm) -> sp.csr_matrix:
+    """Scatter (nt, 3, 3) element blocks into a free x free CSR matrix."""
+    from plapminres.spaces import element_dofs
+
+    rows_full = element_dofs(row_dm)
+    cols_full = element_dofs(col_dm)
+    nt = blocks.shape[0]
+    rows = np.repeat(rows_full, 3, axis=1).ravel()
+    cols = np.tile(cols_full, (1, 3)).ravel()
+    data = blocks.reshape(nt, 9).ravel()
+
+    ri = row_dm._free_index[rows]
+    ci = col_dm._free_index[cols]
+    keep = (ri >= 0) & (ci >= 0)
+    mat = sp.coo_matrix((data[keep], (ri[keep], ci[keep])),
+                        shape=(row_dm.n_free, col_dm.n_free))
+    return mat.tocsr()
+
+
+def reference_saddle_matrix(G_blocks, B_blocks, test, trial) -> sp.csc_matrix:
+    """K = [[G, B], [B^T, 0]] assembled through COO, CSR and ``sp.bmat``.
+
+    ``(G + G^T) / 2`` drops the G entries that sum to zero, as the
+    per-mesh pattern must.
+    """
+    G = scatter_matrix(G_blocks, test, test)
+    G = (G + G.T) * 0.5
+    B = scatter_matrix(B_blocks, test, trial)
+    return sp.bmat([[G, B], [B.T, None]], format="csc")
+
+
+def operator_jacobian_matrix(forms, u_coeffs) -> sp.csr_matrix:
+    """Free test x free trial operator Jacobian, scattered from its blocks."""
+    from plapminres.forms import assemble_operator_jacobian
+
+    return scatter_matrix(assemble_operator_jacobian(forms, u_coeffs),
+                          forms.test, forms.trial)
+
+
+def duality_jacobian_matrix(forms, r_coeffs) -> sp.csr_matrix:
+    """Free test x free test duality-map Hessian, scattered from its blocks.
+
+    Not symmetrized here: symmetric element blocks scatter into an exactly
+    symmetric matrix.
+    """
+    from plapminres.forms import assemble_duality_jacobian
+
+    return scatter_matrix(assemble_duality_jacobian(forms, r_coeffs),
+                          forms.test, forms.test)
+
+
+def cr_interpolate(m, edge_mean_evaluator) -> np.ndarray:
+    """Crouzeix-Raviart interpolation from edge means.
+
+    ``edge_mean_evaluator(a, b)`` must return the mean of the target
+    function over the segment with endpoint coordinates ``a`` and ``b``.
+    The returned full CR coefficient vector reproduces those edge means
+    (the midpoint value of a linear function equals its edge mean), and as
+    a consequence preserves the mean gradient of the target on every
+    element.
+    """
+    ev = m.vertices[m.edges]
+    return np.array([edge_mean_evaluator(a, b) for a, b in ev])
+
+
+def gauss_edge_mean(f, n_points: int = 6):
+    """Edge-mean evaluator for a pointwise function via Gauss-Legendre."""
+    xg, wg = leggauss(n_points)
+    s = 0.5 * (xg + 1.0)
+    w = 0.5 * wg
+
+    def mean(a, b):
+        pts = a[None, :] + s[:, None] * (b - a)[None, :]
+        return float(w @ np.array([f(x, y) for x, y in pts]))
+
+    return mean
+
+
+def embed_p1_in_cr(m, p1_coeffs: np.ndarray) -> np.ndarray:
+    """CR coefficients of a P1 function (edge midpoint = mean of endpoints).
+
+    The embedded function is pointwise identical to the P1 original, so
+    its element gradients agree exactly.
+    """
+    p1_coeffs = np.asarray(p1_coeffs)
+    return 0.5 * (p1_coeffs[m.edges[:, 0]] + p1_coeffs[m.edges[:, 1]])
+
+
+def p1_interpolate(m, f) -> np.ndarray:
+    """Vertex interpolant of a pointwise function ``f(x, y)``."""
+    return np.array([f(x, y) for x, y in m.vertices])

@@ -48,6 +48,23 @@ class TestConfigParsing:
                      "linear_method", id="solver-linear_method"),
         pytest.param({"p_target": 2.0, "solver": {"damping_enabled": False}},
                      "damping_enabled", id="solver-damping_enabled"),
+        pytest.param({"p_target": 2.0, "snapshot_levels": 3},
+                     "snapshot_levels", id="snapshot_levels-int"),
+        pytest.param({"p_target": 2.0, "sigma": float("-inf")}, "sigma",
+                     id="sigma-neginf"),
+        pytest.param({"p_target": 2.0, "solver": {"max_newton": 2.5}},
+                     "max_newton", id="solver-max_newton-float"),
+        pytest.param({"p_target": 2.0, "solver": {"max_backtracks": True}},
+                     "max_backtracks", id="solver-max_backtracks-bool"),
+        pytest.param({"p_target": 2.0, "solver": {"newton_tol": float("nan")}},
+                     "newton_tol", id="solver-newton_tol-nan"),
+        pytest.param({"p_target": 2.0, "solver": {"linear_rel_tol": float("inf")}},
+                     "linear_rel_tol", id="solver-linear_rel_tol-inf"),
+        pytest.param({"p_target": 2.0, "solver": {"backtrack_factor": 1.0}},
+                     "backtrack_factor", id="solver-backtrack_factor-one"),
+        pytest.param({"p_target": 2.0, "theta": True}, "theta", id="theta-bool"),
+        pytest.param({"p_target": 2.0, "output_dir": 5}, "output_dir",
+                     id="output_dir-int"),
     ])
     def test_bad_value_names_field(self, raw, field):
         with pytest.raises(ConfigError, match=field):
@@ -82,6 +99,20 @@ class TestRunCommand:
         code = main(["run", "--config", str(path)])
         assert code == 2
         assert "p_target" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text,field", [
+        ('{"p_target": 2.0, "snapshot_levels": 3}', "snapshot_levels"),
+        ('{"p_target": 2.0, "sigma": -1e400}', "sigma"),
+        ('{"p_target": 2.0, "solver": {"max_newton": 2.5}}', "max_newton"),
+        ('{"p_target": 2.0, "solver": {"newton_tol": NaN}}', "newton_tol"),
+    ], ids=["snapshot_levels", "sigma", "max_newton", "newton_tol"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, text, field):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main(["run", "--config", str(path), "--levels", "1"])
+        assert code == 2
+        assert field in capsys.readouterr().err
 
 
 class TestCase1Command:

@@ -15,11 +15,9 @@ from plapminres.spaces import (
     P1,
     all_element_gradients,
     build_space,
-    embed_p1_in_cr,
-    p1_interpolate,
     triangle_rule,
 )
-from tests.oracles import p1_poisson_galerkin
+from tests.oracles import embed_p1_in_cr, p1_interpolate, p1_poisson_galerkin
 
 
 class TestConfigValidation:

@@ -20,10 +20,9 @@ from plapminres.spaces import (
     all_element_gradients,
     broken_seminorm,
     build_space,
-    p1_interpolate,
     triangle_rule,
 )
-from tests.oracles import radial_seminorm_p
+from tests.oracles import p1_interpolate, radial_seminorm_p
 
 # frozen values of the polar-coordinate radial oracle (see
 # tests/oracles.radial_seminorm_p) for sigma = 0.97, x0 = (-1, -1)

@@ -7,9 +7,7 @@ from plapminres.forms import (
     NonlinearForms,
     apply_duality_map,
     apply_plaplacian,
-    assemble_duality_jacobian,
     assemble_load,
-    assemble_operator_jacobian,
     local_indicators,
 )
 from plapminres.mesh import unit_square_mesh
@@ -19,10 +17,14 @@ from plapminres.spaces import (
     all_element_gradients,
     broken_seminorm,
     build_space,
-    embed_p1_in_cr,
     geometry_of,
-    p1_interpolate,
     triangle_rule,
+)
+from tests.oracles import (
+    duality_jacobian_matrix,
+    embed_p1_in_cr,
+    operator_jacobian_matrix,
+    p1_interpolate,
 )
 
 
@@ -133,14 +135,14 @@ class TestOperatorJacobian:
     def test_p2_independent_of_state(self):
         rng = np.random.default_rng(5)
         forms = make_forms(unit_square_mesh(3), 2.0)
-        B1 = assemble_operator_jacobian(forms, rng.standard_normal(forms.trial.n_total))
-        B2 = assemble_operator_jacobian(forms, rng.standard_normal(forms.trial.n_total))
+        B1 = operator_jacobian_matrix(forms, rng.standard_normal(forms.trial.n_total))
+        B2 = operator_jacobian_matrix(forms, rng.standard_normal(forms.trial.n_total))
         assert abs(B1 - B2).max() < 1e-12
 
     def test_p2_rows_give_stiffness_action(self):
         rng = np.random.default_rng(6)
         forms = make_forms(unit_square_mesh(3), 2.0)
-        B = assemble_operator_jacobian(forms, np.zeros(forms.trial.n_total))
+        B = operator_jacobian_matrix(forms, np.zeros(forms.trial.n_total))
         u = np.zeros(forms.trial.n_total)
         u[forms.trial.free_dofs] = rng.standard_normal(forms.trial.n_free)
         assert np.abs(B @ u[forms.trial.free_dofs]
@@ -151,7 +153,7 @@ class TestOperatorJacobian:
         forms = make_forms(unit_square_mesh(3), 2.7)
         u = nondegenerate_trial_state(forms, rng)
         delta = rng.standard_normal(forms.trial.n_free)
-        B = assemble_operator_jacobian(forms, u)
+        B = operator_jacobian_matrix(forms, u)
         h = 1e-5
         up = u.copy()
         up[forms.trial.free_dofs] += h * delta
@@ -168,7 +170,7 @@ class TestOperatorJacobian:
         m = unit_square_mesh(3)
         forms = make_forms(m, 2.6)
         u = nondegenerate_trial_state(forms, rng)
-        B = assemble_operator_jacobian(forms, u)
+        B = operator_jacobian_matrix(forms, u)
         for _ in range(5):
             d1 = np.zeros(forms.trial.n_total)
             d2 = np.zeros(forms.trial.n_total)
@@ -185,7 +187,7 @@ class TestDualityJacobian:
     def test_p2_is_broken_stiffness(self):
         rng = np.random.default_rng(9)
         forms = make_forms(unit_square_mesh(3), 2.0)
-        G = assemble_duality_jacobian(forms, rng.standard_normal(forms.test.n_total))
+        G = duality_jacobian_matrix(forms, rng.standard_normal(forms.test.n_total))
         r = np.zeros(forms.test.n_total)
         r[forms.test.free_dofs] = rng.standard_normal(forms.test.n_free)
         assert np.abs(G @ r[forms.test.free_dofs]
@@ -194,7 +196,7 @@ class TestDualityJacobian:
     def test_exact_symmetry(self):
         rng = np.random.default_rng(10)
         forms = make_forms(unit_square_mesh(3), 1.6)
-        G = assemble_duality_jacobian(forms, rng.standard_normal(forms.test.n_total))
+        G = duality_jacobian_matrix(forms, rng.standard_normal(forms.test.n_total))
         assert abs(G - G.T).max() == 0.0
 
     def test_centered_difference_check(self):
@@ -204,7 +206,7 @@ class TestDualityJacobian:
         base = embed_p1_in_cr(m, p1_interpolate(m, lambda x, y: 2 * x + 3 * y))
         r = base + 0.05 * rng.standard_normal(forms.test.n_total)
         delta = rng.standard_normal(forms.test.n_free)
-        G = assemble_duality_jacobian(forms, r)
+        G = duality_jacobian_matrix(forms, r)
         h = 1e-5
         rp = r.copy()
         rp[forms.test.free_dofs] += h * delta
@@ -217,7 +219,7 @@ class TestDualityJacobian:
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(12)
         forms = make_forms(unit_square_mesh(3), 2.4)
-        G = assemble_duality_jacobian(forms, rng.standard_normal(forms.test.n_total))
+        G = duality_jacobian_matrix(forms, rng.standard_normal(forms.test.n_total))
         for _ in range(20):
             v = rng.standard_normal(forms.test.n_free)
             assert v @ (G @ v) >= -1e-12 * (v @ v)

@@ -1,13 +1,25 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from plapminres import linsolve
+from plapminres.forms import (
+    NonlinearForms,
+    assemble_duality_jacobian,
+    assemble_operator_jacobian,
+)
 from plapminres.linsolve import (
     LinearSolveError,
+    SaddleSystem,
     assemble_saddle,
     solve_symmetric_indefinite,
 )
-from tests.oracles import dense_saddle_solve
+from plapminres.mesh import refine_marked, unit_square_mesh
+from plapminres.newton import SolverOptions, cold_state, newton_solve
+from plapminres.spaces import CR, P1, build_space
+from tests.oracles import dense_saddle_solve, reference_saddle_matrix
 
 
 def random_spd_blocks(rng, n, m):
@@ -17,68 +29,123 @@ def random_spd_blocks(rng, n, m):
     return G, B, rng.standard_normal(n), rng.standard_normal(m)
 
 
+def block_system(G, B, rhs_top, rhs_bottom):
+    """Saddle system of explicit sparse blocks, without a mesh."""
+    K = sp.bmat([[G, B], [B.T, None]], format="csc")
+    return SaddleSystem(K, np.concatenate([rhs_top, rhs_bottom]), G.shape[0])
+
+
 def random_spd_saddle(rng, n, m):
-    return assemble_saddle(*random_spd_blocks(rng, n, m))
+    return block_system(*random_spd_blocks(rng, n, m))
+
+
+def graded_mesh():
+    mesh = unit_square_mesh(4)
+    for _ in range(4):
+        mesh = refine_marked(mesh, np.arange(0, mesh.n_triangles, 3))
+    return mesh
+
+
+MESHES = {"uniform": lambda: unit_square_mesh(4), "graded": graded_mesh}
+
+
+def newton_blocks(mesh, p, seed=0):
+    """Spaces and random-state Jacobian element blocks on a mesh."""
+    rng = np.random.default_rng(seed)
+    test = build_space(mesh, CR)
+    trial = build_space(mesh, P1)
+    forms = NonlinearForms(p, trial, test, np.zeros(test.n_free))
+    G = assemble_duality_jacobian(forms, rng.standard_normal(test.n_total))
+    B = assemble_operator_jacobian(forms, rng.standard_normal(trial.n_total))
+    return test, trial, G, B
+
+
+def stored_entries(A):
+    A = A.tocoo()
+    return set(zip(A.row.tolist(), A.col.tolist()))
+
+
+def assemble(test, trial, G, B):
+    return assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
+                           np.zeros(trial.n_free))
 
 
 class TestAssembleSaddle:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", sorted(MESHES))
+    def test_pattern_matches_reference_assembly(self, kind, p):
+        test, trial, G, B = newton_blocks(MESHES[kind](), p)
+        K = assemble(test, trial, G, B).K
+        want = reference_saddle_matrix(G, B, test, trial)
+        # the reference also drops the G entries that cancel to zero; away
+        # from p = 2 those are exactly the ones the pattern leaves out
+        assert stored_entries(K) >= stored_entries(want)
+        if p != 2.0 or kind == "uniform":
+            assert K.nnz == want.nnz
+        dense = want.toarray()
+        assert np.abs(K.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
+
     def test_identity_block_layout(self):
-        system = assemble_saddle(sp.eye(2), sp.csr_matrix((2, 1)),
-                                 np.zeros(2), np.zeros(1))
-        K = system.K.toarray()
-        want = np.zeros((3, 3))
-        want[0, 0] = want[1, 1] = 1.0
+        mesh = unit_square_mesh(2)
+        test, trial, _, _ = newton_blocks(mesh, 2.0)
+        eye = np.broadcast_to(np.eye(3), (mesh.n_triangles, 3, 3))
+        K = assemble(test, trial, eye, np.zeros_like(eye)).K.toarray()
+        n = test.n_free
+        want = np.zeros((n + trial.n_free,) * 2)
+        want[:n, :n] = 2.0 * np.eye(n)  # every free edge has two triangles
         assert np.array_equal(K, want)
 
     def test_symmetry(self):
-        rng = np.random.default_rng(0)
-        system = random_spd_saddle(rng, 6, 3)
+        system = assemble(*newton_blocks(graded_mesh(), 1.6))
         K = system.K
         assert abs(K - K.T).max() == 0.0
 
     def test_block_recovery(self):
-        rng = np.random.default_rng(1)
-        G, B, top, bottom = random_spd_blocks(rng, 5, 2)
-        system = assemble_saddle(G, B, top, bottom)
-        block = system.K[:5, 5:].toarray()
-        assert np.array_equal(block, B.toarray())
+        test, trial, G, B = newton_blocks(graded_mesh(), 2.5)
+        K = assemble(test, trial, G, B).K
+        want = reference_saddle_matrix(G, B, test, trial)
+        n = test.n_free
+        assert np.array_equal(K[:n, n:].toarray(), want[:n, n:].toarray())
 
     def test_trailing_block_zero(self):
-        rng = np.random.default_rng(2)
-        system = random_spd_saddle(rng, 5, 2)
-        assert abs(system.K[5:, 5:]).max() == 0.0
+        test, trial, G, B = newton_blocks(unit_square_mesh(3), 1.5)
+        K = assemble(test, trial, G, B).K
+        n = test.n_free
+        assert K[n:, n:].nnz == 0
 
     def test_dimension_mismatch(self):
+        test, trial, G, B = newton_blocks(unit_square_mesh(2), 2.0)
         with pytest.raises(ValueError):
-            assemble_saddle(sp.eye(2), sp.csr_matrix((3, 1)),
-                            np.zeros(2), np.zeros(1))
+            assemble_saddle(test, trial, G[1:], B, np.zeros(test.n_free),
+                            np.zeros(trial.n_free))
         with pytest.raises(ValueError):
-            assemble_saddle(sp.eye(2), sp.csr_matrix((2, 1)),
-                            np.zeros(2), np.zeros(2))
+            assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
+                            np.zeros(trial.n_free + 1))
 
 
 class TestSolve:
     def test_zero_rhs(self):
         rng = np.random.default_rng(3)
-        system = assemble_saddle(sp.eye(4), sp.csr_matrix(rng.standard_normal((4, 2))),
-                                 np.zeros(4), np.zeros(2))
-        dr, du, rel = solve_symmetric_indefinite(system)
+        system = block_system(sp.eye(4), sp.csr_matrix(rng.standard_normal((4, 2))),
+                              np.zeros(4), np.zeros(2))
+        dr, du, rel, fell_back = solve_symmetric_indefinite(system)
         assert np.array_equal(dr, np.zeros(4))
         assert np.array_equal(du, np.zeros(2))
         assert rel == 0.0
+        assert not fell_back
 
     def test_three_by_three(self):
         G = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 2.0]]))
         B = sp.csr_matrix(np.array([[1.0], [1.0]]))
-        system = assemble_saddle(G, B, np.array([1.0, 1.0]), np.array([1.0]))
-        dr, du, rel = solve_symmetric_indefinite(system, rel_tol=1e-10)
+        system = block_system(G, B, np.array([1.0, 1.0]), np.array([1.0]))
+        dr, du, rel, _ = solve_symmetric_indefinite(system, rel_tol=1e-10)
         x = np.concatenate([dr, du])
         assert np.linalg.norm(system.K @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(4)
         blocks = random_spd_blocks(rng, 30, 10)
-        dr, du, _ = solve_symmetric_indefinite(assemble_saddle(*blocks))
+        dr, du, _, _ = solve_symmetric_indefinite(block_system(*blocks))
         dr0, du0 = dense_saddle_solve(*blocks)
         scale = np.linalg.norm(np.concatenate([dr0, du0]))
         assert np.linalg.norm(dr - dr0) <= 1e-8 * scale
@@ -87,7 +154,7 @@ class TestSolve:
     def test_residual_certificate_reported(self):
         rng = np.random.default_rng(5)
         system = random_spd_saddle(rng, 12, 5)
-        _, _, rel = solve_symmetric_indefinite(system, rel_tol=1e-10)
+        _, _, rel, _ = solve_symmetric_indefinite(system, rel_tol=1e-10)
         assert 0.0 <= rel <= 1e-10
 
     def test_deterministic(self):
@@ -101,6 +168,96 @@ class TestSolve:
     def test_singular_system_reports_failure(self):
         G = sp.csr_matrix((2, 2))  # zero block, B rank-deficient: singular K
         B = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        system = assemble_saddle(G, B, np.ones(2), np.ones(2))
+        system = block_system(G, B, np.ones(2), np.ones(2))
         with pytest.raises(LinearSolveError):
             solve_symmetric_indefinite(system)
+
+
+class _FailingSymmetricSpla:
+    """``scipy.sparse.linalg`` stand-in whose symmetric factorization fails.
+
+    ``mode="raise"`` makes it raise like SuperLU on a zero pivot,
+    ``mode="inaccurate"`` returns a factor whose solves miss the
+    certificate; ``fail_general`` makes the COLAMD factorization raise too.
+    """
+
+    def __init__(self, spla, mode, fail_general=False):
+        self._spla = spla
+        self.mode = mode
+        self.fail_general = fail_general
+        self.calls = []
+
+    def splu(self, K, **kwargs):
+        symmetric = kwargs.get("options", {}).get("SymmetricMode", False)
+        self.calls.append("symmetric" if symmetric else "general")
+        if symmetric and self.mode == "raise" or not symmetric and self.fail_general:
+            raise RuntimeError("Factor is exactly singular")
+        lu = self._spla.splu(K, **kwargs)
+        if symmetric and self.mode == "inaccurate":
+            return _PerturbedLU(lu)
+        return lu
+
+
+class _PerturbedLU:
+    def __init__(self, lu):
+        self.nnz = lu.nnz
+        self._lu = lu
+
+    def solve(self, rhs):
+        return 1.01 * self._lu.solve(rhs)
+
+
+def random_rhs_system(seed):
+    test, trial, G, B = newton_blocks(graded_mesh(), 1.5)
+    rng = np.random.default_rng(seed)
+    return assemble_saddle(test, trial, G, B, rng.standard_normal(test.n_free),
+                           rng.standard_normal(trial.n_free))
+
+
+class TestFallback:
+    @pytest.mark.parametrize("mode", ["raise", "inaccurate"])
+    def test_general_factorization_certifies(self, monkeypatch, mode):
+        system = random_rhs_system(7)
+        fake = _FailingSymmetricSpla(linsolve.spla, mode)
+        monkeypatch.setattr(linsolve, "spla", fake)
+        dr, du, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        assert fell_back
+        assert fake.calls == ["symmetric", "general"]
+        x = np.concatenate([dr, du])
+        assert rel <= 1e-10
+        assert (np.linalg.norm(system.rhs - system.K @ x)
+                <= 1e-10 * np.linalg.norm(system.rhs))
+
+    @pytest.mark.parametrize("mode", ["raise", "inaccurate"])
+    def test_both_failing_raises(self, monkeypatch, mode):
+        system = random_rhs_system(8)
+        fake = _FailingSymmetricSpla(linsolve.spla, mode, fail_general=True)
+        monkeypatch.setattr(linsolve, "spla", fake)
+        with pytest.raises(LinearSolveError):
+            solve_symmetric_indefinite(system, 1e-10)
+        assert fake.calls == ["symmetric", "general"]
+
+    def test_symmetric_path_taken_by_default(self, monkeypatch):
+        system = random_rhs_system(9)
+        fake = _FailingSymmetricSpla(linsolve.spla, mode=None)
+        monkeypatch.setattr(linsolve, "spla", fake)
+        *_, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        assert not fell_back
+        assert fake.calls == ["symmetric"]
+
+    @pytest.mark.parametrize("fail_general", [False, True])
+    def test_newton_counts_fallbacks(self, monkeypatch, fail_general):
+        mesh = unit_square_mesh(3)
+        test = build_space(mesh, CR)
+        trial = build_space(mesh, P1)
+        forms = NonlinearForms(2.5, trial, test, np.ones(test.n_free))
+        monkeypatch.setattr(linsolve, "spla", _FailingSymmetricSpla(
+            linsolve.spla, "raise", fail_general))
+        result = newton_solve(forms, cold_state(forms), SolverOptions())
+        if fail_general:
+            assert not result.converged and result.iterations == 0
+            assert result.linear_fallbacks == 1
+        else:
+            assert result.converged
+            assert result.linear_fallbacks == result.iterations > 1
+        assert json.loads(result.as_json())["linear_fallbacks"] == result.linear_fallbacks

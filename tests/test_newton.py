@@ -8,7 +8,6 @@ from plapminres.forms import (
     NonlinearForms,
     apply_duality_map,
     apply_plaplacian,
-    assemble_duality_jacobian,
     assemble_load,
     assemble_operator_jacobian,
 )
@@ -22,8 +21,19 @@ from plapminres.newton import (
     newton_solve,
     nonlinear_residual,
 )
-from plapminres.spaces import CR, P1, broken_seminorm, build_space, triangle_rule
-from tests.oracles import p1_poisson_galerkin
+from plapminres.spaces import (
+    CR,
+    P1,
+    broken_seminorm,
+    build_space,
+    element_dofs,
+    triangle_rule,
+)
+from tests.oracles import (
+    duality_jacobian_matrix,
+    operator_jacobian_matrix,
+    p1_poisson_galerkin,
+)
 
 SIGMA = 0.97
 X0 = (-1.0, -1.0)
@@ -61,7 +71,7 @@ class TestNonlinearResidual:
         forms = factory(2.0)
         es = ExactSolution(2.0, SIGMA, X0)
         u = p1_poisson_galerkin(mesh, es.boundary_data(), load_free, test)
-        G = assemble_duality_jacobian(forms, np.zeros(test.n_total))
+        G = duality_jacobian_matrix(forms, np.zeros(test.n_total))
         rhs = load_free - apply_plaplacian(forms, u)
         r = np.zeros(test.n_total)
         r[test.free_dofs] = spla.spsolve(G.tocsc(), rhs)
@@ -79,9 +89,17 @@ class TestNonlinearResidual:
         top, bottom = nonlinear_residual(forms, DiscreteState(u, r, 2.3))
         top2 = (load_free - apply_duality_map(forms, r)
                 - apply_plaplacian(forms, u))
-        bottom2 = -(assemble_operator_jacobian(forms, u).T @ r[test.free_dofs])
         assert np.array_equal(top, top2)
-        assert np.array_equal(bottom, bottom2)
+        # -B^T r summed per element, in the order of the element DOFs
+        trial = forms.trial
+        cells = np.einsum("tij,ti->tj", assemble_operator_jacobian(forms, u),
+                          r[element_dofs(test)])
+        full = np.zeros(trial.n_total)
+        np.add.at(full, element_dofs(trial).ravel(), cells.ravel())
+        assert np.array_equal(bottom, -full[trial.free_dofs])
+        # the sparse product sums per row of B, in another order
+        bottom2 = -(operator_jacobian_matrix(forms, u).T @ r[test.free_dofs])
+        assert np.abs(bottom - bottom2).max() <= 1e-14 * np.abs(bottom2).max()
 
 
 class TestNewtonSolve:
@@ -201,3 +219,4 @@ class TestGalerkinEquivalence:
 
         first = json.loads(lines[0])
         assert first["p"] == 2.0 and first["converged"]
+        assert first["linear_fallbacks"] == 0

@@ -9,14 +9,16 @@ from plapminres.spaces import (
     all_element_gradients,
     broken_seminorm,
     build_space,
+    geometry_of,
+    triangle_rule,
+)
+from tests.oracles import (
     cr_interpolate,
     embed_p1_in_cr,
     gauss_edge_mean,
-    geometry_of,
+    monomial_integral_over_triangle,
     p1_interpolate,
-    triangle_rule,
 )
-from tests.oracles import monomial_integral_over_triangle
 
 
 class TestBuildSpace:
