@@ -10,10 +10,12 @@ case2        singular corner load at p = 1.5 under one of three
 rates        fit log-log slopes from an existing records CSV
 export-mesh  write SVG/VTK snapshots of (refined) structured meshes
 
-All numeric output is deterministic for identical invocations except the
-wall-clock column of the records CSV.  Thread count of the underlying
-linear algebra follows the usual environment variables (OMP_NUM_THREADS
-and friends).
+Bad input (a config value, an option, a malformed file, an output
+directory that cannot be created) ends with an error message and exit
+code 2.  All numeric output is deterministic for identical invocations
+except the wall-clock column of the records CSV.  Thread count of the
+underlying linear algebra follows the usual environment variables
+(OMP_NUM_THREADS and friends).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 
 from .driver import ProblemConfig, run_study
 from .estimate import EstimateError, StudyRecord, fit_rate
-from .mesh import export_svg, export_vtk, refine_uniform, unit_square_mesh
+from .mesh import MeshError, export_svg, export_vtk, refine_uniform, unit_square_mesh
 from .newton import SolverOptions
 
 
@@ -80,16 +82,20 @@ def _write_rates_summary(path: Path, runs: dict[str, list], window: int):
     return summary
 
 
+def _given(**options) -> dict:
+    """The options that were given on the command line."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def cmd_run(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    overrides = {}
-    if args.p is not None:
-        overrides["p_target"] = args.p
-    if args.levels is not None:
-        overrides["max_levels"] = args.levels
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    raw.update(overrides)
+    try:
+        raw = json.loads(Path(args.config).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: malformed JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{args.config}: config must be a JSON object")
+    raw.update(_given(p_target=args.p, max_levels=args.levels,
+                      output_dir=args.out))
     cfg = config_from_dict(raw, source=args.config)
     records = run_study(cfg)
     for rec in records:
@@ -99,14 +105,16 @@ def cmd_run(args) -> int:
 
 def cmd_case1(args) -> int:
     out = Path(args.out)
+    configs = [config_from_dict(
+        {"p_target": p, "sigma": args.sigma, "x0": (-1.0, -1.0),
+         "initial_n": args.initial_n, "strategy": "uniform",
+         "max_levels": args.levels, "output_dir": str(out / f"case1_p{p:g}")},
+        source="case1") for p in args.p]
     out.mkdir(parents=True, exist_ok=True)
     runs = {}
     ok = True
-    for p in args.p:
-        cfg = ProblemConfig(p_target=p, sigma=args.sigma, x0=(-1.0, -1.0),
-                            initial_n=args.initial_n, strategy="uniform",
-                            max_levels=args.levels,
-                            output_dir=str(out / f"case1_p{p:g}"))
+    for cfg in configs:
+        p = cfg.p_target
         records = run_study(cfg)
         runs[f"p={p:g}"] = records
         ok = ok and len(records) == cfg.max_levels
@@ -123,25 +131,21 @@ def cmd_case1(args) -> int:
 
 
 CASE2_DEFAULTS = {
-    "uniform": dict(initial_n=2, max_levels=6),
-    "pre_adapted": dict(initial_n=8, max_levels=4),
-    "adaptive": dict(initial_n=16, max_levels=13),
+    "uniform": dict(strategy="uniform", initial_n=2, max_levels=6),
+    "pre_adapted": dict(strategy="pre_adapted_then_uniform", initial_n=8,
+                        max_levels=4),
+    "adaptive": dict(strategy="adaptive", initial_n=16, max_levels=13),
 }
 
 
 def cmd_case2(args) -> int:
     out = Path(args.out)
+    cfg = config_from_dict({
+        "p_target": args.p, "sigma": args.sigma, "x0": (0.0, 0.0),
+        "theta": args.theta, **CASE2_DEFAULTS[args.strategy],
+        **_given(initial_n=args.initial_n, max_levels=args.steps),
+        "output_dir": str(out / f"case2_{args.strategy}")}, source="case2")
     out.mkdir(parents=True, exist_ok=True)
-    strategy_name = {"uniform": "uniform",
-                     "pre_adapted": "pre_adapted_then_uniform",
-                     "adaptive": "adaptive"}[args.strategy]
-    defaults = CASE2_DEFAULTS[args.strategy]
-    cfg = ProblemConfig(
-        p_target=args.p, sigma=args.sigma, x0=(0.0, 0.0),
-        initial_n=args.initial_n or defaults["initial_n"],
-        strategy=strategy_name, theta=args.theta,
-        max_levels=args.steps or defaults["max_levels"],
-        output_dir=str(out / f"case2_{args.strategy}"))
     records = run_study(cfg)
     print(f"case2 {args.strategy}: {len(records)}/{cfg.max_levels} steps, "
           f"newton totals {[r.newton_total for r in records]}")
@@ -159,17 +163,26 @@ def cmd_case2(args) -> int:
 def cmd_rates(args) -> int:
     path = Path(args.csv)
     lines = path.read_text().strip().splitlines()
-    if lines[0] != StudyRecord.CSV_HEADER:
+    if not lines or lines[0] != StudyRecord.CSV_HEADER:
         raise ConfigError(f"{path}: unexpected CSV header")
-    records = [StudyRecord.from_csv_row(line) for line in lines[1:]]
-    for quantity in ("error", "eta"):
-        slope = fit_rate(records, quantity, args.window)
+    try:
+        records = [StudyRecord.from_csv_row(line) for line in lines[1:]]
+        slopes = {quantity: fit_rate(records, quantity, args.window)
+                  for quantity in ("error", "eta")}
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    for quantity, slope in slopes.items():
         print(f"slope({quantity}) over last {args.window} levels: {slope:+.4f}")
     return 0
 
 
 def cmd_export_mesh(args) -> int:
-    mesh = unit_square_mesh(args.n)
+    if args.refine < 0:
+        raise ConfigError("--refine must be >= 0")
+    try:
+        mesh = unit_square_mesh(args.n)
+    except MeshError as exc:
+        raise ConfigError(f"--n {args.n}: {exc}") from exc
     for _ in range(args.refine):
         mesh = refine_uniform(mesh)
     path = Path(args.out)
@@ -238,10 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

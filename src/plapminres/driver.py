@@ -10,6 +10,8 @@ refinement strategies are supported:
   running the linear (p = 2) adaptive loop a fixed number of steps, then
   the study proceeds with uniform refinement.
 
+Each level builds its P1 and CR spaces and its load once; along the
+exponent only the Dirichlet data changes, and it lives in the forms.
 Every level restarts the exponent continuation from p = 2 by default so
 iteration counts are comparable across levels; state transfer onto the
 refined mesh is available as an opt-in warm start.  A failed warm-start
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,39 +104,45 @@ class ProblemConfig:
             raise ValueError(f"warm_start must be one of {WARM_STARTS}")
 
 
-@dataclass
-class LevelSolution:
-    """Internal per-level bundle handed between study stages."""
-
-    mesh: Mesh
-    trial: DofMap
-    test: DofMap
-    forms: NonlinearForms
-    state: DiscreteState
-    log: IterationLog
-
-
-def _forms_factory(mesh: Mesh, test: DofMap, load_free: np.ndarray,
+def _forms_factory(trial: DofMap, test: DofMap, load_free: np.ndarray,
                    sigma: float, x0):
-    """Factory over the exponent; Dirichlet data follows the exponent."""
+    """Factory over the exponent on one level's spaces and load.
+
+    Only the Dirichlet data follows the exponent: the benchmark solution
+    at that exponent, evaluated at the boundary vertices in one call.
+    """
+    boundary_points = trial.mesh.vertices[trial.constrained_dofs]
+
     def factory(p: float) -> NonlinearForms:
-        es = ExactSolution(p, sigma, x0)
-        trial = build_space(mesh, P1, es.boundary_data())
-        return NonlinearForms(p, trial, test, load_free)
+        values = ExactSolution(p, sigma, x0).value(boundary_points)
+        return NonlinearForms(p, trial, test, load_free, values)
     return factory
 
 
 def _solve_level(cfg: ProblemConfig, mesh: Mesh,
-                 warm_state: DiscreteState | None) -> LevelSolution:
+                 previous: tuple[NonlinearForms, DiscreteState] | None = None
+                 ) -> tuple[NonlinearForms, DiscreteState, IterationLog]:
+    """Set up one level once and solve it at the target exponent.
+
+    Returns the forms at ``cfg.p_target``, the final state and the
+    level's iteration log.  ``previous`` is the coarser level's
+    ``(forms, state)`` when warm-starting; its state is transferred onto
+    this level's spaces and tried before the continuation.
+    """
+    trial = build_space(mesh, P1)
     test = build_space(mesh, CR)
     load_free = assemble_load(LoadSpec(sigma=cfg.sigma, x0=cfg.x0), test,
                               triangle_rule(cfg.load_quad_degree))
-    factory = _forms_factory(mesh, test, load_free, cfg.sigma, cfg.x0)
+    factory = _forms_factory(trial, test, load_free, cfg.sigma, cfg.x0)
+    forms = factory(cfg.p_target)
 
     state = None
     itlog = IterationLog()
-    if warm_state is not None:
-        result = newton_solve(factory(cfg.p_target), warm_state, cfg.solver)
+    if previous is not None:
+        old_forms, old_state = previous
+        warm_state = transfer_state(old_state, old_forms.trial,
+                                    old_forms.test, trial, test)
+        result = newton_solve(forms, warm_state, cfg.solver)
         itlog.records.append(result)
         if result.converged:
             state = result.state
@@ -144,8 +152,13 @@ def _solve_level(cfg: ProblemConfig, mesh: Mesh,
     if state is None:
         state, cont_log = continuation_solve(cfg.p_target, factory, cfg.solver)
         itlog.records += cont_log.records
-    forms = factory(cfg.p_target)
-    return LevelSolution(mesh, forms.trial, test, forms, state, itlog)
+    return forms, state, itlog
+
+
+def _refine_adaptively(mesh: Mesh, forms: NonlinearForms, r: np.ndarray,
+                       theta: float) -> Mesh:
+    """Dörfler marking and bisection; the same mesh when nothing is marked."""
+    return refine_marked(mesh, dorfler_mark(local_indicators(forms, r), theta))
 
 
 def pre_adapt_mesh(cfg: ProblemConfig, mesh: Mesh) -> Mesh:
@@ -155,17 +168,13 @@ def pre_adapt_mesh(cfg: ProblemConfig, mesh: Mesh) -> Mesh:
     ``cfg.pre_adapt_steps`` steps, producing an initial mesh that resolves
     the data singularity before the main (uniform) study starts.
     """
-    linear = ProblemConfig(p_target=2.0, sigma=cfg.sigma, x0=cfg.x0,
-                           initial_n=cfg.initial_n, strategy="adaptive",
-                           theta=cfg.theta, max_levels=1, solver=cfg.solver,
-                           load_quad_degree=cfg.load_quad_degree)
+    linear = replace(cfg, p_target=2.0)
     for _ in range(cfg.pre_adapt_steps):
-        sol = _solve_level(linear, mesh, None)
-        masses = local_indicators(sol.forms, sol.state.r)
-        marked = dorfler_mark(masses, cfg.theta)
-        if marked.size == 0:
+        forms, state, _ = _solve_level(linear, mesh)
+        refined = _refine_adaptively(mesh, forms, state.r, cfg.theta)
+        if refined is mesh:
             break
-        mesh = refine_marked(mesh, marked)
+        mesh = refined
     return mesh
 
 
@@ -185,54 +194,48 @@ def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
     error_rule = triangle_rule(cfg.error_quad_degree)
 
     records: list[StudyRecord] = []
-    warm_state: DiscreteState | None = None
+    previous = None
     diagnostic = None
     for level in range(cfg.max_levels):
         t0 = time.perf_counter()
         try:
-            sol = _solve_level(cfg, mesh, warm_state)
+            forms, state, itlog = _solve_level(cfg, mesh, previous)
         except ContinuationError as exc:
             diagnostic = f"level {level}: {exc}"
             log.error("study aborted: %s", diagnostic)
             break
 
-        error = true_error(sol.trial, sol.state.u, es_target, error_rule,
-                           cfg.p_target)
-        eta = estimator_global(sol.forms, sol.state.r)
+        error = true_error(forms.trial, state.u, es_target.gradient,
+                           error_rule, cfg.p_target)
+        eta = estimator_global(forms, state.r)
         wall_ms = 1e3 * (time.perf_counter() - t0)
         records.append(StudyRecord(
             level=level,
-            n_free_trial=sol.trial.n_free,
-            n_free_test=sol.test.n_free,
-            n_total=sol.trial.n_free + sol.test.n_free,
+            n_free_trial=forms.trial.n_free,
+            n_free_test=forms.test.n_free,
+            n_total=forms.trial.n_free + forms.test.n_free,
             h_max=mesh_size(mesh),
             error=error,
             eta=eta,
             eta_over_error=eta / error if error > 0 else np.inf,
             eta_root_over_error=(eta ** (1.0 / (cfg.p_target - 1.0)) / error
                                  if error > 0 else np.inf),
-            newton_total=sol.log.total_iterations,
-            damping_events=sol.log.total_damping_events,
+            newton_total=itlog.total_iterations,
+            damping_events=itlog.total_damping_events,
             wall_ms=wall_ms,
         ))
         if out:
-            out.telemetry(level, sol.log)
+            out.telemetry(level, itlog)
             if cfg.strategy == "adaptive" and level in cfg.snapshot_levels:
                 out.snapshot(level, mesh)
 
         if level + 1 < cfg.max_levels:
             if cfg.strategy == "adaptive":
-                masses = local_indicators(sol.forms, sol.state.r)
-                marked = dorfler_mark(masses, cfg.theta)
-                new_mesh = refine_marked(mesh, marked)
+                mesh = _refine_adaptively(mesh, forms, state.r, cfg.theta)
             else:
-                new_mesh = refine_uniform(mesh)
+                mesh = refine_uniform(mesh)
             if cfg.warm_start == "direct":
-                new_trial = build_space(new_mesh, P1)
-                new_test = build_space(new_mesh, CR)
-                warm_state = transfer_state(sol.state, sol.trial, sol.test,
-                                            new_trial, new_test)
-            mesh = new_mesh
+                previous = (forms, state)
 
     if out:
         out.finish(records, diagnostic)
@@ -248,8 +251,8 @@ def transfer_state(state: DiscreteState, old_trial: DofMap, old_test: DofMap,
     residual representative is re-interpolated in the CR sense: each new
     edge receives the value of the old broken function at its midpoint,
     evaluated on the parent element and averaged across the adjacent new
-    elements.  Without genealogy the transfer falls back to a zero
-    interior state.
+    elements.  Without genealogy the transfer falls back to the zero
+    state, whose Dirichlet values the Newton solve then clamps in.
     """
     old_mesh = old_trial.mesh
     new_mesh = new_trial.mesh
@@ -257,7 +260,7 @@ def transfer_state(state: DiscreteState, old_trial: DofMap, old_test: DofMap,
         return DiscreteState(state.u.copy(), state.r.copy(), state.p_current)
     if np.any(new_mesh.parent < 0):
         log.warning("missing genealogy; warm start from zero interior state")
-        return DiscreteState(new_trial.zero_full(),
+        return DiscreteState(np.zeros(new_trial.n_total),
                              np.zeros(new_test.n_total), state.p_current)
 
     parents = new_mesh.vertex_parents

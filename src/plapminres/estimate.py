@@ -70,15 +70,6 @@ class ExactSolution:
                  * r ** (self.radial_exponent - 2.0))
         return -coeff[..., None] * diff
 
-    def source(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        r = np.linalg.norm(points - np.asarray(self.x0), axis=-1)
-        return r ** (-self.sigma)
-
-    def boundary_data(self):
-        """Callable (x, y) -> u(x, y) for strong Dirichlet imposition."""
-        return lambda x, y: float(self.value(np.array([x, y])))
-
 
 @dataclass
 class StudyRecord:
@@ -122,18 +113,17 @@ def estimator_global(forms: NonlinearForms, r_coeffs: np.ndarray) -> float:
     return broken_seminorm(forms.test, r_coeffs, forms.p) ** (forms.p - 1.0)
 
 
-def true_error(trial: DofMap, u_coeffs: np.ndarray, exact, quad: QuadRule,
-               p: float) -> float:
+def true_error(trial: DofMap, u_coeffs: np.ndarray, exact_gradient,
+               quad: QuadRule, p: float) -> float:
     """Broken W^{1,p} distance between the exact and discrete gradients.
 
-    ``exact`` is either an :class:`ExactSolution` or any object/callable
-    exposing gradients on an (..., 2) point array; componentwise p-powers
-    match the trial-space norm convention.
+    ``exact_gradient`` maps an (..., 2) point array to gradients of the
+    same shape (e.g. :meth:`ExactSolution.gradient`); componentwise
+    p-powers match the trial-space norm convention.
     """
     geo = geometry_of(trial.mesh)
     pts = quad.physical_points(geo.tri_coords)  # (nt, nq, 2)
-    grad_fn = exact.gradient if hasattr(exact, "gradient") else exact
-    g_exact = grad_fn(pts)
+    g_exact = exact_gradient(pts)
     g_h = all_element_gradients(trial, u_coeffs)
     diff = np.abs(g_exact - g_h[:, None, :]) ** p
     per_element = 2.0 * geo.areas * np.einsum("q,tqd->t", quad.weights, diff)
@@ -169,13 +159,15 @@ def fit_rate(records, quantity: str, window: int) -> float:
     """Least-squares slope of log(quantity) against log(n_total).
 
     ``quantity`` is ``"error"`` or ``"eta"``; the fit uses the last
-    ``window`` records, which must all be positive.
+    ``window`` records, which must exist and all be positive.
     """
     if window < 2:
         raise EstimateError("rate fit needs at least two levels")
-    tail = list(records)[-window:]
-    if len(tail) < 2:
-        raise EstimateError("not enough records for the requested window")
+    records = list(records)
+    if len(records) < window:
+        raise EstimateError(f"a window of {window} levels needs as many "
+                            f"records, got {len(records)}")
+    tail = records[-window:]
     x = np.array([rec.n_total for rec in tail], dtype=float)
     y = np.array([getattr(rec, quantity) for rec in tail], dtype=float)
     if np.any(x <= 0.0) or np.any(y <= 0.0):

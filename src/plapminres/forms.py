@@ -69,15 +69,18 @@ class LoadSpec:
 class NonlinearForms:
     """Bundle of everything one nonlinear solve needs.
 
-    ``load_free`` is the load functional tested against the free CR basis
-    functions; it does not depend on the exponent, so it is assembled once
-    per mesh and shared along a continuation path.
+    The spaces and ``load_free`` (the load functional tested against the
+    free CR basis functions) depend on the mesh alone and are shared along
+    a continuation path.  ``dirichlet_values`` holds the trial function's
+    values at ``trial.constrained_dofs``: the only part of the problem
+    besides ``p`` that changes with the exponent.
     """
 
     p: float
     trial: DofMap
     test: DofMap
     load_free: np.ndarray
+    dirichlet_values: np.ndarray
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -88,6 +91,9 @@ class NonlinearForms:
             raise FormsError("trial and test spaces must share one mesh")
         if self.load_free.shape != (self.test.n_free,):
             raise FormsError("load vector does not match the free test DOFs")
+        if self.dirichlet_values.shape != self.trial.constrained_dofs.shape:
+            raise FormsError("Dirichlet values do not match the constrained "
+                             "trial DOFs")
 
     @property
     def mesh(self):

@@ -195,7 +195,7 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
     u = state_init.u.copy()
     r = state_init.r.copy()
     # clamp the constrained entries to the data of this problem
-    u[trial.constrained_dofs] = trial.constrained_values[trial.constrained_dofs]
+    u[trial.constrained_dofs] = forms.dirichlet_values
     r[test.constrained_dofs] = 0.0
 
     B = assemble_operator_jacobian(forms, u)
@@ -265,8 +265,8 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
 
 
 def cold_state(forms: NonlinearForms) -> DiscreteState:
-    """Zero interior values with the prescribed boundary data."""
-    return DiscreteState(forms.trial.zero_full(),
+    """All-zero state; :func:`newton_solve` clamps in the Dirichlet data."""
+    return DiscreteState(np.zeros(forms.trial.n_total),
                          np.zeros(forms.test.n_total), forms.p)
 
 
@@ -275,11 +275,11 @@ def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
     """Walk the exponent from 2 to ``p_target``, warm-starting Newton.
 
     ``forms_factory(p)`` must return the :class:`NonlinearForms` of the
-    problem at exponent ``p`` (in particular with that exponent's Dirichlet
-    data).  The linear case is solved first without an initial guess; a
-    failed Newton solve halves the local step and retries from the last
-    converged state, aborting with :class:`ContinuationError` when the
-    step underflows ``opts.min_step``.
+    problem at exponent ``p``: the spaces and load of one mesh, with that
+    exponent's Dirichlet values.  The linear case is solved first from
+    the zero state; a failed Newton solve halves the local step and
+    retries from the last converged state, aborting with
+    :class:`ContinuationError` when the step underflows ``opts.min_step``.
     """
     if not 1.0 < p_target < np.inf:
         raise ValueError("p_target must be finite and > 1")

@@ -2,11 +2,15 @@
 
 Two lowest-order spaces are handled on a shared :class:`~plapminres.mesh.Mesh`:
 
-* ``P1`` -- continuous piecewise linears, one DOF per vertex, boundary
-  vertices carry prescribed Dirichlet values;
+* ``P1`` -- continuous piecewise linears, one DOF per vertex, with the
+  boundary vertices constrained;
 * ``CR`` -- Crouzeix-Raviart piecewise linears, one DOF per edge (the value
   at the edge midpoint), continuous only at interior edge midpoints and
   pinned to zero on boundary edges.
+
+A space depends on the mesh alone.  The Dirichlet values of the P1 trial
+space change with the exponent, so they live with the exponent's
+:class:`~plapminres.forms.NonlinearForms`, not here.
 
 Coefficient vectors are always "full" (one entry per DOF, constrained
 entries included); :class:`DofMap` converts between full vectors and the
@@ -18,7 +22,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -142,9 +145,8 @@ class ElementGeometry:
 class DofMap:
     """Enumeration of free and constrained DOFs of one space on one mesh.
 
-    ``constrained_values`` has length ``n_total`` and is zero on free DOFs;
-    for the P1 trial space it carries the Dirichlet data, for the CR test
-    space it is identically zero.
+    It holds no values: constrained CR DOFs are zero, and the Dirichlet
+    values of the constrained P1 DOFs belong to the exponent's forms.
     """
 
     kind: str
@@ -152,7 +154,6 @@ class DofMap:
     n_total: int
     free_dofs: np.ndarray
     constrained_dofs: np.ndarray
-    constrained_values: np.ndarray
     _free_index: np.ndarray  # full index -> position in free vector, -1 if constrained
 
     @property
@@ -160,47 +161,30 @@ class DofMap:
         return self.free_dofs.shape[0]
 
     def full_from_free(self, free_values: np.ndarray) -> np.ndarray:
-        """Expand a free-DOF vector into a full coefficient vector."""
-        full = self.constrained_values.copy()
+        """Expand a free-DOF vector into a full vector, zero where constrained."""
+        full = np.zeros(self.n_total)
         full[self.free_dofs] = free_values
         return full
 
-    def zero_full(self) -> np.ndarray:
-        """Full vector with zero free values and the constrained data."""
-        return self.constrained_values.copy()
 
-
-def build_space(m: Mesh, kind: str,
-                boundary_values: Callable | None = None) -> DofMap:
+def build_space(m: Mesh, kind: str) -> DofMap:
     """Build the DOF map of a P1 or CR space on a mesh.
 
-    Parameters
-    ----------
-    m : Mesh
-    kind : {"P1", "CR"}
-    boundary_values : optional
-        Dirichlet data for the P1 space: a callable ``g(x, y)`` evaluated
-        at the boundary vertices.  Must be omitted for CR (whose boundary
-        DOFs are hard zeros) and may be omitted for homogeneous P1 data.
+    P1 constrains the boundary vertices and CR the boundary edges; the map
+    depends on the mesh alone, so one pair of spaces serves every exponent
+    on that mesh.
 
     Raises
     ------
     SpaceError
-        For an unknown kind or for boundary data handed to a CR space.
+        For an unknown kind.
     """
     if kind == P1:
         n_total = m.n_vertices
         constrained = m.boundary_vertices()
-        values = np.zeros(n_total)
-        if boundary_values is not None:
-            pts = m.vertices[constrained]
-            values[constrained] = [boundary_values(x, y) for x, y in pts]
     elif kind == CR:
-        if boundary_values is not None:
-            raise SpaceError("CR test space has hard-zero boundary DOFs")
         n_total = m.n_edges
         constrained = np.nonzero(m.boundary_edge_flags)[0]
-        values = np.zeros(n_total)
     else:
         raise SpaceError(f"unknown space kind {kind!r}")
 
@@ -209,9 +193,9 @@ def build_space(m: Mesh, kind: str,
     free = np.nonzero(mask)[0]
     free_index = np.full(n_total, -1, dtype=np.int64)
     free_index[free] = np.arange(free.size)
-    for arr in (free, constrained, values, free_index):
+    for arr in (free, constrained, free_index):
         arr.setflags(write=False)
-    return DofMap(kind, m, n_total, free, constrained, values, free_index)
+    return DofMap(kind, m, n_total, free, constrained, free_index)
 
 
 def element_dofs(dm: DofMap) -> np.ndarray:

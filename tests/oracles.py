@@ -40,6 +40,9 @@ def monomial_integral_over_triangle(tri: np.ndarray, a: int, b: int) -> float:
 def p1_poisson_galerkin(mesh, boundary_values, load_free_cr, test_dm):
     """Reference P1 Galerkin solve of the Poisson problem.
 
+    ``boundary_values`` holds the Dirichlet data at the boundary vertices,
+    in the order of ``mesh.boundary_vertices()``.
+
     Assembles the vertex-based stiffness matrix directly from the hat
     function gradients and reuses the CR load vector through the exact
     embedding U_h in V_h (a P1 hat equals the CR function whose edge
@@ -50,7 +53,7 @@ def p1_poisson_galerkin(mesh, boundary_values, load_free_cr, test_dm):
     """
     from plapminres.spaces import build_space, geometry_of, P1
 
-    trial = build_space(mesh, P1, boundary_values)
+    trial = build_space(mesh, P1)
     geo = geometry_of(mesh)
     tri = mesh.triangles
 
@@ -70,10 +73,10 @@ def p1_poisson_galerkin(mesh, boundary_values, load_free_cr, test_dm):
 
     free = trial.free_dofs
     fixed = trial.constrained_dofs
-    g = trial.constrained_values
     A = K[np.ix_(free, free)]
-    b = rhs[free] - K[np.ix_(free, fixed)] @ g[fixed]
-    u = trial.constrained_values.copy()
+    b = rhs[free] - K[np.ix_(free, fixed)] @ boundary_values
+    u = np.zeros(n)
+    u[fixed] = boundary_values
     u[free] = np.linalg.solve(A, b)
     return u
 

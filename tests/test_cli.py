@@ -6,6 +6,21 @@ import pytest
 from plapminres.cli import ConfigError, config_from_dict, main
 
 
+def assert_input_error(argv, capsys, needle):
+    """``main`` returns 2 with a message on stderr and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def write_two_row_csv(path: Path):
+    main(["case1", "--p", "2.0", "--levels", "2",
+          "--out", str(path.parent / "study")])
+    path.write_text((path.parent / "study" / "case1_p2" / "records.csv")
+                    .read_text())
+
+
 def strip_wall(csv_text: str) -> str:
     lines = []
     for line in csv_text.strip().splitlines():
@@ -113,6 +128,65 @@ class TestRunCommand:
         code = main(["run", "--config", str(path), "--levels", "1"])
         assert code == 2
         assert field in capsys.readouterr().err
+
+
+class TestBadInputExits2:
+    def test_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"p_target": 2.0,')
+        assert_input_error(["run", "--config", str(path)], capsys,
+                           "malformed JSON")
+
+    def test_json_array(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[2.0]")
+        assert_input_error(["run", "--config", str(path)], capsys,
+                           "JSON object")
+
+    def test_out_below_regular_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"p_target": 2.0, "max_levels": 1}')
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert_input_error(["run", "--config", str(path),
+                            "--out", str(blocker / "study")], capsys,
+                           "Not a directory")
+
+    @pytest.mark.parametrize("argv,field", [
+        (["case1", "--levels", "0"], "max_levels"),
+        (["case1", "--p", "1.0"], "p_target"),
+        (["case2", "--steps", "0"], "max_levels"),
+        (["case2", "--initial-n", "0"], "initial_n"),
+        (["case2", "--theta", "0"], "theta"),
+    ], ids=["case1-levels-0", "case1-p-1", "case2-steps-0",
+            "case2-initial-n-0", "case2-theta-0"])
+    def test_case_options(self, tmp_path, capsys, argv, field):
+        assert_input_error(argv + ["--out", str(tmp_path / "out")], capsys,
+                           field)
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_csv(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text("")
+        assert_input_error(["rates", "--csv", str(path)], capsys, "header")
+
+    @pytest.mark.parametrize("window,needle", [
+        ("1", "at least two levels"), ("3", "window of 3 levels")])
+    def test_rates_window(self, tmp_path, capsys, window, needle):
+        path = tmp_path / "records.csv"
+        write_two_row_csv(path)
+        capsys.readouterr()
+        assert_input_error(["rates", "--csv", str(path), "--window", window],
+                           capsys, needle)
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["--n", "0"], "--n 0"), (["--refine", "-1"], "--refine")],
+        ids=["n-0", "refine-negative"])
+    def test_export_mesh_options(self, tmp_path, capsys, argv, needle):
+        out = tmp_path / "mesh.svg"
+        assert_input_error(["export-mesh", "--out", str(out)] + argv, capsys,
+                           needle)
+        assert not out.exists()
 
 
 class TestCase1Command:

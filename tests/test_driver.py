@@ -45,9 +45,10 @@ class TestSingleLevel:
         load_free = assemble_load(LoadSpec(sigma=cfg.sigma, x0=cfg.x0), test,
                                   triangle_rule(10))
         es = ExactSolution(2.0, cfg.sigma, cfg.x0)
-        u_ref = p1_poisson_galerkin(mesh, es.boundary_data(), load_free, test)
-        trial = build_space(mesh, P1, es.boundary_data())
-        err_ref = true_error(trial, u_ref, es, triangle_rule(10), 2.0)
+        trial = build_space(mesh, P1)
+        boundary = es.value(mesh.vertices[trial.constrained_dofs])
+        u_ref = p1_poisson_galerkin(mesh, boundary, load_free, test)
+        err_ref = true_error(trial, u_ref, es.gradient, triangle_rule(10), 2.0)
         assert records[0].error == pytest.approx(err_ref, rel=1e-10)
 
 
@@ -109,6 +110,47 @@ class TestTransferState:
         moved = transfer_state(state, old_trial, old_test,
                                build_space(other, P1), build_space(other, CR))
         assert np.array_equal(moved.u, np.zeros(other.n_vertices))
+
+
+class TestLevelSetup:
+    @pytest.mark.parametrize("warm_start", ["off", "direct"])
+    def test_two_spaces_per_level(self, monkeypatch, warm_start):
+        real = driver.build_space
+        built = []
+
+        def counted(mesh, *args):
+            built.append(mesh)
+            return real(mesh, *args)
+
+        monkeypatch.setattr(driver, "build_space", counted)
+        records = run_study(ProblemConfig(p_target=3.0, max_levels=3,
+                                          warm_start=warm_start))
+        assert len(records) == 3
+        assert len(built) == 2 * 3
+        assert len({id(mesh) for mesh in built}) == 3
+
+    @pytest.mark.parametrize("x0", [(-1.0, -1.0), (0.0, 0.0)])
+    def test_dirichlet_values_match_pointwise_evaluation(self, x0):
+        # one vectorized evaluation over the boundary vertices; the array
+        # power may differ from the scalar one by one ulp of r**q, and the
+        # rest of the formula rounds alike
+        mesh = refine_uniform(unit_square_mesh(4))
+        trial = build_space(mesh, P1)
+        test = build_space(mesh, CR)
+        factory = driver._forms_factory(trial, test, np.zeros(test.n_free),
+                                        0.97, x0)
+        points = mesh.vertices[trial.constrained_dofs]
+        for p in (1.5, 2.0, 2.7, 3.0):
+            es = ExactSolution(p, 0.97, x0)
+            values = factory(p).dirichlet_values
+            assert values.shape == (len(points),)
+            for value, point in zip(values, points):
+                power = (np.linalg.norm(point - np.asarray(x0))
+                         ** es.radial_exponent)
+                allowed = {float(es.value(point))} | {
+                    es.amplitude * (1.0 - np.nextafter(power, side))
+                    for side in (-np.inf, np.inf)}
+                assert value in allowed
 
 
 class TestStudies:

@@ -34,7 +34,8 @@ def make_forms(mesh, p):
     test = build_space(mesh, CR)
     load = LoadSpec(sigma=0.0)  # f = 1
     return NonlinearForms(p, trial, test,
-                          assemble_load(load, test, triangle_rule(2)))
+                          assemble_load(load, test, triangle_rule(2)),
+                          np.zeros(trial.constrained_dofs.size))
 
 
 class TestExactSolution:
@@ -76,6 +77,7 @@ class TestExactSolution:
         # nested central differences of the closed-form flux as the oracle
         rng = np.random.default_rng(1)
         es = ExactSolution(3.0, 0.97, (0.0, 0.0))
+        load = LoadSpec(sigma=es.sigma, x0=es.x0)
 
         def flux(x):
             g = es.gradient(x)
@@ -94,7 +96,7 @@ class TestExactSolution:
             r = rng.uniform(0.1, 0.9)
             th = rng.uniform(0.05, np.pi / 2 - 0.05)
             x = np.array([r * np.cos(th), r * np.sin(th)])
-            want = float(es.source(x))
+            want = float(load(x))
             assert -divergence(x) == pytest.approx(want, rel=1e-8)
 
     def test_parameter_validation(self):
@@ -155,7 +157,7 @@ class TestTrueError:
         es = ExactSolution(p, 0.97, (-1.0, -1.0))
         mesh = unit_square_mesh(8)
         trial = build_space(mesh, P1)
-        err = true_error(trial, np.zeros(trial.n_total), es,
+        err = true_error(trial, np.zeros(trial.n_total), es.gradient,
                          triangle_rule(10), p)
         frozen = RADIAL_SEMINORM[p]
         assert err == pytest.approx(frozen, rel=1e-6)
@@ -173,7 +175,8 @@ class TestTrueError:
             trial = build_space(mesh, P1)
             coeffs = p1_interpolate(mesh, lambda x, y: float(
                 es.value(np.array([x, y]))))
-            errors.append(true_error(trial, coeffs, es, triangle_rule(10), 3.0))
+            errors.append(true_error(trial, coeffs, es.gradient,
+                                     triangle_rule(10), 3.0))
             mesh = refine_uniform(mesh)
         ratios = [b / a for a, b in zip(errors, errors[1:])]
         for ratio in ratios[-2:]:
@@ -255,6 +258,11 @@ class TestFitRate:
         recs = synthetic_records([10, 100], [1.0, 0.0])
         with pytest.raises(EstimateError):
             fit_rate(recs, "error", 2)
+
+    def test_rejects_window_beyond_records(self):
+        recs = synthetic_records([10, 100], [1.0, 0.5])
+        with pytest.raises(EstimateError, match="window of 3"):
+            fit_rate(recs, "error", 3)
 
     def test_rejects_short_window(self):
         recs = synthetic_records([10, 100], [1.0, 0.5])

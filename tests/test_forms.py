@@ -28,13 +28,14 @@ from tests.oracles import (
 )
 
 
-def make_forms(mesh, p, bc=None, load=None, quad_degree=4):
-    trial = build_space(mesh, P1, bc)
+def make_forms(mesh, p, load=None, quad_degree=4):
+    trial = build_space(mesh, P1)
     test = build_space(mesh, CR)
     if load is None:
         load = LoadSpec(sigma=0.0)  # f = 1
     load_free = assemble_load(load, test, triangle_rule(quad_degree))
-    return NonlinearForms(p, trial, test, load_free)
+    return NonlinearForms(p, trial, test, load_free,
+                          np.zeros(trial.constrained_dofs.size))
 
 
 def stiffness_action_oracle(forms, coeffs, kind):
@@ -60,6 +61,22 @@ class TestLoadSpec:
     def test_sigma_bound(self):
         with pytest.raises(FormsError):
             LoadSpec(sigma=2.0)
+
+
+class TestNonlinearForms:
+    @pytest.mark.parametrize("shape", [
+        lambda dm: (dm.constrained_dofs.size - 1,),
+        lambda dm: (dm.constrained_dofs.size + 1,),
+        lambda dm: (dm.n_total,),
+        lambda dm: (dm.constrained_dofs.size, 1),
+    ], ids=["short", "long", "full-vector", "column"])
+    def test_rejects_misshaped_dirichlet_values(self, shape):
+        mesh = unit_square_mesh(2)
+        trial = build_space(mesh, P1)
+        test = build_space(mesh, CR)
+        with pytest.raises(FormsError, match="Dirichlet"):
+            NonlinearForms(2.0, trial, test, np.zeros(test.n_free),
+                           np.zeros(shape(trial)))
 
 
 class TestApplyOperator:
@@ -288,8 +305,8 @@ class TestStrictMonotonicity:
         m = unit_square_mesh(3)
         forms = make_forms(m, p)
         for _ in range(20):
-            u = forms.trial.zero_full()
-            w = forms.trial.zero_full()
+            u = np.zeros(forms.trial.n_total)
+            w = np.zeros(forms.trial.n_total)
             u[forms.trial.free_dofs] = rng.standard_normal(forms.trial.n_free)
             w[forms.trial.free_dofs] = rng.standard_normal(forms.trial.n_free)
             diff = embed_p1_in_cr(m, u - w)[forms.test.free_dofs]

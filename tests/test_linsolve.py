@@ -54,7 +54,8 @@ def newton_blocks(mesh, p, seed=0):
     rng = np.random.default_rng(seed)
     test = build_space(mesh, CR)
     trial = build_space(mesh, P1)
-    forms = NonlinearForms(p, trial, test, np.zeros(test.n_free))
+    forms = NonlinearForms(p, trial, test, np.zeros(test.n_free),
+                           np.zeros(trial.constrained_dofs.size))
     G = assemble_duality_jacobian(forms, rng.standard_normal(test.n_total))
     B = assemble_operator_jacobian(forms, rng.standard_normal(trial.n_total))
     return test, trial, G, B
@@ -250,7 +251,8 @@ class TestFallback:
         mesh = unit_square_mesh(3)
         test = build_space(mesh, CR)
         trial = build_space(mesh, P1)
-        forms = NonlinearForms(2.5, trial, test, np.ones(test.n_free))
+        forms = NonlinearForms(2.5, trial, test, np.ones(test.n_free),
+                               np.zeros(trial.constrained_dofs.size))
         monkeypatch.setattr(linsolve, "spla", _FailingSymmetricSpla(
             linsolve.spla, "raise", fail_general))
         result = newton_solve(forms, cold_state(forms), SolverOptions())

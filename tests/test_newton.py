@@ -41,14 +41,15 @@ X0 = (-1.0, -1.0)
 
 def smooth_setup(n):
     mesh = unit_square_mesh(n)
+    trial = build_space(mesh, P1)
     test = build_space(mesh, CR)
     load_free = assemble_load(LoadSpec(sigma=SIGMA, x0=X0), test,
                               triangle_rule(10))
+    boundary = mesh.vertices[trial.constrained_dofs]
 
     def factory(p):
-        es = ExactSolution(p, SIGMA, X0)
-        trial = build_space(mesh, P1, es.boundary_data())
-        return NonlinearForms(p, trial, test, load_free)
+        return NonlinearForms(p, trial, test, load_free,
+                              ExactSolution(p, SIGMA, X0).value(boundary))
 
     return mesh, test, load_free, factory
 
@@ -58,7 +59,8 @@ class TestNonlinearResidual:
         mesh = unit_square_mesh(2)
         test = build_space(mesh, CR)
         trial = build_space(mesh, P1)
-        forms = NonlinearForms(2.5, trial, test, np.zeros(test.n_free))
+        forms = NonlinearForms(2.5, trial, test, np.zeros(test.n_free),
+                               np.zeros(trial.constrained_dofs.size))
         state = DiscreteState(np.zeros(trial.n_total),
                               np.zeros(test.n_total), 2.5)
         top, bottom = nonlinear_residual(forms, state)
@@ -69,8 +71,7 @@ class TestNonlinearResidual:
         # u = Galerkin solution, r solves G r = F - N(u): both blocks vanish
         mesh, test, load_free, factory = smooth_setup(4)
         forms = factory(2.0)
-        es = ExactSolution(2.0, SIGMA, X0)
-        u = p1_poisson_galerkin(mesh, es.boundary_data(), load_free, test)
+        u = p1_poisson_galerkin(mesh, forms.dirichlet_values, load_free, test)
         G = duality_jacobian_matrix(forms, np.zeros(test.n_total))
         rhs = load_free - apply_plaplacian(forms, u)
         r = np.zeros(test.n_total)
@@ -203,8 +204,8 @@ class TestGalerkinEquivalence:
         forms = factory(2.0)
         result = newton_solve(forms, cold_state(forms), SolverOptions())
         assert result.converged
-        es = ExactSolution(2.0, SIGMA, X0)
-        u_ref = p1_poisson_galerkin(mesh, es.boundary_data(), load_free, test)
+        u_ref = p1_poisson_galerkin(mesh, forms.dirichlet_values, load_free,
+                                    test)
         diff = result.state.u - u_ref
         rel = (broken_seminorm(forms.trial, diff, 2.0)
                / broken_seminorm(forms.trial, u_ref, 2.0))

@@ -38,23 +38,13 @@ class TestBuildSpace:
         # the n=2 mesh has 16 edges of which 8 lie on the boundary
         assert dm.n_total == 16
         assert dm.n_free == 8
-        assert np.all(dm.constrained_values == 0.0)
+        full = dm.full_from_free(np.ones(dm.n_free))
+        assert np.all(full[dm.constrained_dofs] == 0.0)
 
     def test_partition(self):
         dm = build_space(unit_square_mesh(3), CR)
         both = np.concatenate([dm.free_dofs, dm.constrained_dofs])
         assert np.array_equal(np.sort(both), np.arange(dm.n_total))
-
-    def test_cr_rejects_boundary_values(self):
-        with pytest.raises(SpaceError):
-            build_space(unit_square_mesh(2), CR, lambda x, y: 1.0)
-
-    def test_callable_boundary_data(self):
-        m = unit_square_mesh(2)
-        dm = build_space(m, P1, lambda x, y: x + 10 * y)
-        for v in m.boundary_vertices():
-            x, y = m.vertices[v]
-            assert dm.constrained_values[v] == x + 10 * y
 
 
 class TestQuadRule:
