@@ -90,6 +90,10 @@ class ProblemConfig:
             raise ValueError("snapshot_levels must be a list of integers")
         if not (is_finite_real(self.sigma) and self.sigma < 2.0):
             raise ValueError("sigma must be a finite number < 2")
+        # the benchmark solution needs p > sigma at every exponent of the
+        # continuation path, which runs from 2 to p_target
+        if not self.sigma < self.p_target:
+            raise ValueError("sigma must be < p_target")
         if not (is_finite_real(self.theta) and 0.0 < self.theta <= 1.0):
             raise ValueError("theta must lie in (0, 1]")
         if not (self.output_dir is None or isinstance(self.output_dir, str)):
@@ -98,6 +102,8 @@ class ProblemConfig:
                      "error_quad_degree"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.pre_adapt_steps < 0:
+            raise ValueError("pre_adapt_steps must be >= 0")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.warm_start not in WARM_STARTS:

@@ -40,6 +40,9 @@ class ExactSolution:
             raise EstimateError("p must be > 1")
         if not self.sigma < self.d:
             raise EstimateError("sigma must be < d for an integrable load")
+        if self.p == self.sigma:
+            raise EstimateError("p must differ from sigma: the solution "
+                                "degenerates to a logarithm")
 
     @property
     def radial_exponent(self) -> float:

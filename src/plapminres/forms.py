@@ -158,13 +158,11 @@ def assemble_operator_jacobian(forms: NonlinearForms,
     s2 = (g ** 2).sum(axis=1) + eps ** 2
     mu = s2 ** ((forms.p - 2.0) / 2.0)
 
-    gc = geo.grad_cr
-    gp = geo.grad_p1
-    base = np.einsum("tjd,tid->tij", gp, gc)
-    du = np.einsum("td,tjd->tj", g, gp)
-    dv = np.einsum("td,tid->ti", g, gc)
-    rank1 = (forms.p - 2.0) * np.einsum("ti,tj->tij", dv, du) / s2[:, None, None]
-    return (geo.areas * mu)[:, None, None] * (base + rank1)
+    du = np.einsum("td,tjd->tj", g, geo.grad_p1)
+    dv = np.einsum("td,tid->ti", g, geo.grad_cr)
+    scale = (forms.p - 2.0) * geo.areas / s2
+    rank1 = scale[:, None, None] * dv[:, :, None] * du[:, None, :]
+    return mu[:, None, None] * (geo.cr_p1_products + rank1)
 
 
 def apply_jacobian_transpose(forms: NonlinearForms, B_blocks: np.ndarray,
@@ -184,17 +182,17 @@ def assemble_duality_jacobian(forms: NonlinearForms,
     """Hessian of (1/p)*||r||^p, as (nt, 3, 3) test x test element blocks.
 
     Componentwise weights (p-1) * (g_k^2 + eps^2)^((p-2)/2) make the matrix
-    positive definite for eps > 0; every element block is symmetrized
-    exactly, so the assembled matrix is too.
+    positive definite for eps > 0.  Each block weights the two exactly
+    symmetric per-component products of the mesh geometry, so it is exactly
+    symmetric, and so is the assembled matrix.
     """
     geo = geometry_of(forms.mesh)
     g = all_element_gradients(forms.test, r_coeffs)
     eps = _jacobian_epsilon(forms, forms.test, r_coeffs)
     d = (forms.p - 1.0) * (g ** 2 + eps ** 2) ** ((forms.p - 2.0) / 2.0)
-    gc = geo.grad_cr
-    blocks = geo.areas[:, None, None] * np.einsum(
-        "td,tid,tjd->tij", d, gc, gc)
-    return (blocks + blocks.transpose(0, 2, 1)) * 0.5
+    products = geo.cr_products
+    return (d[:, 0, None, None] * products[0]
+            + d[:, 1, None, None] * products[1])
 
 
 def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray:

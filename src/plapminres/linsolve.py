@@ -15,16 +15,21 @@ fills K with one ``np.bincount``.  G entries that vanish for every
 exponent are left out of the pattern: stored zeros would add fill to the
 factorization.
 
-K is factored as a symmetric matrix: SuperLU with a minimum-degree
-ordering of the pattern of K + K^T, recomputed at every factorization, and
-no off-diagonal pivoting (``diag_pivot_thresh=0``).  Every solution is
-re-verified against K and polished by up to two iterative-refinement
-sweeps until it meets the requested relative residual.  Static pivoting
-can break down on the zero (2, 2) block, so when that factorization raises
-or misses the residual, the system is factored once more with a COLAMD
-column ordering and partial pivoting, under the same certificate.  Only
-when that fails too is :class:`LinearSolveError` raised, so the nonlinear
-driver can treat the step as failed.
+K is factored as a symmetric matrix with no off-diagonal pivoting
+(``diag_pivot_thresh=0``).  Its fill-reducing ordering, SuperLU's minimum
+degree on the pattern of K + K^T, depends on the pattern alone, so it is
+computed once per mesh, by one factorization of K filled with the p = 2
+blocks, and baked into the pattern: K is stored as P K P^T in elimination
+order, every Newton step factors it in its ``NATURAL`` order, and the
+solution is mapped back to the natural order of the unknowns.  Every
+solution is re-verified against K and polished by up to two
+iterative-refinement sweeps until it meets the requested relative
+residual.  Static pivoting can break down on the zero (2, 2) block, so
+when that factorization raises or misses the residual, the system is
+factored once more with a COLAMD column ordering and partial pivoting,
+under the same certificate.  Only when that fails too is
+:class:`LinearSolveError` raised, so the nonlinear driver can treat the
+step as failed.
 """
 
 from __future__ import annotations
@@ -39,9 +44,11 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 from .spaces import DofMap, element_dofs, geometry_of
 
-# fill-reducing symmetric factorization, then the general-purpose fallback
-_SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+# the once-per-mesh ordering call, the per-step symmetric factorization in
+# the order it found, and the general-purpose fallback
+_ORDERING_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+_SYMMETRIC_LU = dict(_ORDERING_LU, permc_spec="NATURAL")
 _GENERAL_LU = dict(permc_spec="COLAMD")
 
 
@@ -60,7 +67,10 @@ class LinearSolveError(RuntimeError):
 class SaddlePattern:
     """Fixed CSC structure of K = [[G, B], [B^T, 0]] on one mesh.
 
-    ``slots`` has one entry per entry of the concatenated element blocks
+    Rows and columns are in elimination order: ``order[i]`` is the
+    position of unknown ``i`` (free test DOFs first, then free trial
+    DOFs), so the natural-order K is ``K[order][:, order]``.  ``slots``
+    has one entry per entry of the concatenated element blocks
     ``[G, B, B]`` (each (nt, 3, 3), the second B standing for B^T): its
     position in ``K.data``, or the dump slot ``nnz`` for entries on a
     constrained DOF and for the G entries the pattern drops.
@@ -71,6 +81,7 @@ class SaddlePattern:
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
+    order: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -93,12 +104,16 @@ def _build_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     A G entry integrates sum_k w_k (d_k phi_i)(d_k phi_j) with weights
     w_k > 0; the entries where both products of derivatives vanish, which
     happens for every exponent on the legs of axis-aligned right
-    triangles, are dropped.
+    triangles, are dropped.  The elimination order is the ``perm_c`` of
+    one symmetric minimum-degree factorization of K at p = 2, whose blocks
+    are the geometry's own products; SuperLU's ``perm_c[i]`` is the new
+    position of unknown ``i``.  Should that factorization be refused, the
+    COLAMD column order is used instead.
     """
     rows_t = test._free_index[element_dofs(test)]
     rows_u = trial._free_index[element_dofs(trial)]
-    gc = geometry_of(test.mesh).grad_cr
-    g_live = (gc[:, :, None, :] * gc[:, None, :, :] != 0.0).any(axis=-1)
+    geo = geometry_of(test.mesh)
+    g_live = (geo.cr_products != 0.0).any(axis=0)
     n, m = test.n_free, trial.n_free
 
     shape = g_live.shape
@@ -110,17 +125,27 @@ def _build_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     rows = np.concatenate([g_rows.ravel(), g_rows.ravel(), b_cols.ravel()])
     cols = np.concatenate([g_cols.ravel(), b_cols.ravel(), g_rows.ravel()])
     keep = np.concatenate([g_keep.ravel(), b_keep.ravel(), b_keep.ravel()])
-
+    rows, cols = rows[keep], cols[keep]
     size = n + m
-    keys, inverse = np.unique(cols[keep] * size + rows[keep],
-                              return_inverse=True)  # column-major order
-    slots = np.full(keep.size, keys.size)
-    slots[keep] = inverse
-    indptr = np.searchsorted(keys // size, np.arange(size + 1))
-    indices = keys % size
-    for arr in (indptr, indices, slots):
-        arr.setflags(write=False)
-    return SaddlePattern(n, m, indptr, indices, slots)
+
+    def in_order(order: np.ndarray) -> SaddlePattern:
+        keys, inverse = np.unique(order[cols] * size + order[rows],
+                                  return_inverse=True)  # column-major order
+        slots = np.full(keep.size, keys.size)
+        slots[keep] = inverse
+        indptr = np.searchsorted(keys // size, np.arange(size + 1))
+        arrays = (indptr, keys % size, slots, order)
+        for arr in arrays:
+            arr.setflags(write=False)
+        return SaddlePattern(n, m, *arrays)
+
+    K2 = in_order(np.arange(size)).matrix(geo.cr_products.sum(axis=0),
+                                          geo.cr_p1_products)
+    try:
+        lu = spla.splu(K2, **_ORDERING_LU)
+    except RuntimeError:  # a zero pivot of the static pivoting
+        lu = spla.splu(K2, **_GENERAL_LU)
+    return in_order(np.array(lu.perm_c, dtype=np.int64))
 
 
 _PATTERN_CACHE: "weakref.WeakKeyDictionary[Mesh, SaddlePattern]" = weakref.WeakKeyDictionary()
@@ -146,12 +171,15 @@ class SaddleSystem:
     """Assembled symmetric block system with concatenated right-hand side.
 
     The first ``n_test`` unknowns are the test block ``dr``, the rest the
-    trial block ``du``.
+    trial block ``du``.  ``K`` and ``rhs`` are stored in elimination order:
+    ``order[i]`` is the position of unknown ``i``, so the natural-order
+    system is ``K[order][:, order]`` and ``rhs[order]``.
     """
 
     K: sp.csc_matrix
     rhs: np.ndarray
     n_test: int
+    order: np.ndarray
 
 
 def assemble_saddle(test: DofMap, trial: DofMap, G_blocks, B_blocks,
@@ -172,8 +200,10 @@ def assemble_saddle(test: DofMap, trial: DofMap, G_blocks, B_blocks,
     pattern = saddle_pattern(test, trial)
     if rhs_top.shape != (pattern.n_test,) or rhs_bottom.shape != (pattern.n_trial,):
         raise ValueError("right-hand side blocks do not match the free DOFs")
-    return SaddleSystem(pattern.matrix(G_blocks, B_blocks),
-                        np.concatenate([rhs_top, rhs_bottom]), pattern.n_test)
+    rhs = np.empty(pattern.n_test + pattern.n_trial)
+    rhs[pattern.order] = np.concatenate([rhs_top, rhs_bottom])
+    return SaddleSystem(pattern.matrix(G_blocks, B_blocks), rhs,
+                        pattern.n_test, pattern.order)
 
 
 def _certified_solve(K, rhs, rel_tol: float, factor_options: dict):
@@ -203,8 +233,9 @@ def _certified_solve(K, rhs, rel_tol: float, factor_options: dict):
 def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10):
     """Solve the saddle system to the requested relative residual.
 
-    Returns ``(dr, du, rel_residual, fell_back)``: the residual certificate
-    that was actually achieved, and whether the symmetric factorization
+    Returns ``(dr, du, rel_residual, fell_back)``: the two blocks in the
+    natural order of the unknowns, the residual certificate that was
+    actually achieved, and whether the symmetric factorization
     was refused and the COLAMD fallback produced the solution.  Raises
     :class:`LinearSolveError` only after both factorizations failed.
     Deterministic for fixed inputs.
@@ -214,10 +245,14 @@ def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10):
     if not np.any(rhs):
         return np.zeros(n), np.zeros(rhs.size - n), 0.0, False
 
+    order = system.order
     try:
         x, rel = _certified_solve(system.K, rhs, rel_tol, _SYMMETRIC_LU)
+        x = x[order]
         fell_back = False
     except LinearSolveError:
-        x, rel = _certified_solve(system.K, rhs, rel_tol, _GENERAL_LU)
+        # COLAMD chooses its own column order, from the natural one
+        x, rel = _certified_solve(system.K[order][:, order], rhs[order],
+                                  rel_tol, _GENERAL_LU)
         fell_back = True
     return x[:n], x[n:], rel, fell_back

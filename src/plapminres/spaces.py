@@ -112,12 +112,19 @@ class ElementGeometry:
     local vertex ``i`` on triangle ``t``; the CR basis function attached to
     the edge opposite vertex ``i`` is ``1 - 2*lambda_i``, so its gradient
     is ``-2 * grad_p1[t, i]``.
+
+    The Newton matrices weight two mesh-only products of these gradients:
+    ``cr_products[k, t, i, j] = area * d_k phi_i * d_k phi_j`` for the CR
+    basis (exactly symmetric in ``i, j``) and ``cr_p1_products[t, i, j] =
+    area * grad phi_i . grad psi_j`` with the P1 basis ``psi``.
     """
 
-    areas: np.ndarray       # (nt,)
-    grad_p1: np.ndarray     # (nt, 3, 2)
-    grad_cr: np.ndarray     # (nt, 3, 2)
-    tri_coords: np.ndarray  # (nt, 3, 2)
+    areas: np.ndarray           # (nt,)
+    grad_p1: np.ndarray         # (nt, 3, 2)
+    grad_cr: np.ndarray         # (nt, 3, 2)
+    tri_coords: np.ndarray      # (nt, 3, 2)
+    cr_products: np.ndarray     # (2, nt, 3, 3)
+    cr_p1_products: np.ndarray  # (nt, 3, 3)
 
     @classmethod
     def from_mesh(cls, m: Mesh) -> "ElementGeometry":
@@ -132,9 +139,15 @@ class ElementGeometry:
         rot[..., 1] = e[..., 0]
         grad_p1 = rot / (2.0 * areas)[:, None, None]
         grad_cr = -2.0 * grad_p1
-        for arr in (areas, grad_p1, grad_cr):
+        cr_k = grad_cr.transpose(2, 0, 1)  # (2, nt, 3)
+        cr_products = areas[:, None, None] * (cr_k[..., :, None]
+                                              * cr_k[..., None, :])
+        cr_p1_products = areas[:, None, None] * np.einsum(
+            "tid,tjd->tij", grad_cr, grad_p1)
+        arrays = (areas, grad_p1, grad_cr, coords, cr_products, cr_p1_products)
+        for arr in arrays:
             arr.setflags(write=False)
-        return cls(areas, grad_p1, grad_cr, coords)
+        return cls(*arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,14 @@ class TestConfigParsing:
         pytest.param({"p_target": 2.0, "theta": True}, "theta", id="theta-bool"),
         pytest.param({"p_target": 2.0, "output_dir": 5}, "output_dir",
                      id="output_dir-int"),
+        pytest.param({"p_target": 1.5, "sigma": 1.5}, "sigma",
+                     id="sigma-equals-p_target"),
+        pytest.param({"p_target": 1.5, "sigma": 1.9}, "sigma",
+                     id="sigma-on-continuation-path"),
+        pytest.param({"p_target": 1.5, "sigma": 1.65, "x0": [0, 0]}, "sigma",
+                     id="sigma-above-p_target"),
+        pytest.param({"p_target": 2.0, "pre_adapt_steps": -3},
+                     "pre_adapt_steps", id="pre_adapt_steps-negative"),
     ])
     def test_bad_value_names_field(self, raw, field):
         with pytest.raises(ConfigError, match=field):
@@ -121,7 +129,12 @@ class TestRunCommand:
         ('{"p_target": 2.0, "sigma": -1e400}', "sigma"),
         ('{"p_target": 2.0, "solver": {"max_newton": 2.5}}', "max_newton"),
         ('{"p_target": 2.0, "solver": {"newton_tol": NaN}}', "newton_tol"),
-    ], ids=["snapshot_levels", "sigma", "max_newton", "newton_tol"])
+        ('{"p_target": 1.5, "sigma": 1.5}', "sigma"),
+        ('{"p_target": 1.5, "sigma": 1.9}', "sigma"),
+        ('{"p_target": 1.5, "sigma": 1.65, "x0": [0, 0]}', "sigma"),
+    ], ids=["snapshot_levels", "sigma", "max_newton", "newton_tol",
+            "sigma-equals-p_target", "sigma-on-continuation-path",
+            "sigma-above-p_target"])
     def test_bad_value_exits_2(self, tmp_path, capsys, text, field):
         path = tmp_path / "config.json"
         path.write_text(text)

@@ -104,6 +104,8 @@ class TestExactSolution:
             ExactSolution(1.0, 0.97, (0.0, 0.0))
         with pytest.raises(EstimateError):
             ExactSolution(2.0, 2.0, (0.0, 0.0))
+        with pytest.raises(EstimateError, match="differ from sigma"):
+            ExactSolution(1.5, 1.5, (0.0, 0.0))
 
 
 class TestEstimatorGlobal:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from plapminres import linsolve
 from plapminres.forms import (
@@ -32,7 +33,8 @@ def random_spd_blocks(rng, n, m):
 def block_system(G, B, rhs_top, rhs_bottom):
     """Saddle system of explicit sparse blocks, without a mesh."""
     K = sp.bmat([[G, B], [B.T, None]], format="csc")
-    return SaddleSystem(K, np.concatenate([rhs_top, rhs_bottom]), G.shape[0])
+    return SaddleSystem(K, np.concatenate([rhs_top, rhs_bottom]), G.shape[0],
+                        np.arange(K.shape[0]))
 
 
 def random_spd_saddle(rng, n, m):
@@ -67,8 +69,11 @@ def stored_entries(A):
 
 
 def assemble(test, trial, G, B):
-    return assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
-                           np.zeros(trial.n_free))
+    """K of the element blocks, read back in the natural order."""
+    system = assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
+                             np.zeros(trial.n_free))
+    order = system.order
+    return system.K[order][:, order]
 
 
 class TestAssembleSaddle:
@@ -76,7 +81,7 @@ class TestAssembleSaddle:
     @pytest.mark.parametrize("kind", sorted(MESHES))
     def test_pattern_matches_reference_assembly(self, kind, p):
         test, trial, G, B = newton_blocks(MESHES[kind](), p)
-        K = assemble(test, trial, G, B).K
+        K = assemble(test, trial, G, B)
         want = reference_saddle_matrix(G, B, test, trial)
         # the reference also drops the G entries that cancel to zero; away
         # from p = 2 those are exactly the ones the pattern leaves out
@@ -90,27 +95,26 @@ class TestAssembleSaddle:
         mesh = unit_square_mesh(2)
         test, trial, _, _ = newton_blocks(mesh, 2.0)
         eye = np.broadcast_to(np.eye(3), (mesh.n_triangles, 3, 3))
-        K = assemble(test, trial, eye, np.zeros_like(eye)).K.toarray()
+        K = assemble(test, trial, eye, np.zeros_like(eye)).toarray()
         n = test.n_free
         want = np.zeros((n + trial.n_free,) * 2)
         want[:n, :n] = 2.0 * np.eye(n)  # every free edge has two triangles
         assert np.array_equal(K, want)
 
     def test_symmetry(self):
-        system = assemble(*newton_blocks(graded_mesh(), 1.6))
-        K = system.K
+        K = assemble(*newton_blocks(graded_mesh(), 1.6))
         assert abs(K - K.T).max() == 0.0
 
     def test_block_recovery(self):
         test, trial, G, B = newton_blocks(graded_mesh(), 2.5)
-        K = assemble(test, trial, G, B).K
+        K = assemble(test, trial, G, B)
         want = reference_saddle_matrix(G, B, test, trial)
         n = test.n_free
         assert np.array_equal(K[:n, n:].toarray(), want[:n, n:].toarray())
 
     def test_trailing_block_zero(self):
         test, trial, G, B = newton_blocks(unit_square_mesh(3), 1.5)
-        K = assemble(test, trial, G, B).K
+        K = assemble(test, trial, G, B)
         n = test.n_free
         assert K[n:, n:].nnz == 0
 
@@ -174,6 +178,52 @@ class TestSolve:
             solve_symmetric_indefinite(system)
 
 
+SYMMETRIC = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+class TestOrdering:
+    """The minimum-degree ordering is computed once per mesh and baked into
+    the pattern; every Newton step factors K in that order."""
+
+    def test_fill_matches_fresh_minimum_degree(self):
+        test, trial, G, B = newton_blocks(unit_square_mesh(8), 1.5)
+        system = assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
+                                 np.zeros(trial.n_free))
+        order = system.order
+        assert np.array_equal(np.sort(order), np.arange(order.size))
+        baked = spla.splu(system.K, permc_spec="NATURAL", **SYMMETRIC)
+        fresh = spla.splu(system.K[order][:, order],
+                          permc_spec="MMD_AT_PLUS_A", **SYMMETRIC)
+        assert baked.nnz == fresh.nnz
+
+    def test_graded_solve_certified_in_natural_order(self):
+        test, trial, G, B = newton_blocks(graded_mesh(), 1.5)
+        rng = np.random.default_rng(10)
+        top = rng.standard_normal(test.n_free)
+        bottom = rng.standard_normal(trial.n_free)
+        system = assemble_saddle(test, trial, G, B, top, bottom)
+        dr, du, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        assert not fell_back and rel <= 1e-10
+        K = reference_saddle_matrix(G, B, test, trial)
+        rhs = np.concatenate([top, bottom])
+        residual = rhs - K @ np.concatenate([dr, du])
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+    def test_refused_ordering_call_takes_colamd_order(self, monkeypatch):
+        test, trial, G, B = newton_blocks(graded_mesh(), 1.5)
+        fake = _FailingSymmetricSpla(linsolve.spla, "raise")
+        monkeypatch.setattr(linsolve, "spla", fake)
+        pattern = linsolve.saddle_pattern(test, trial)
+        assert fake.calls == ["symmetric", "general"]
+        monkeypatch.undo()
+        assert np.array_equal(np.sort(pattern.order), np.arange(pattern.order.size))
+        rng = np.random.default_rng(11)
+        system = assemble_saddle(test, trial, G, B, rng.standard_normal(test.n_free),
+                                 rng.standard_normal(trial.n_free))
+        *_, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        assert rel <= 1e-10 and not fell_back
+
+
 class _FailingSymmetricSpla:
     """``scipy.sparse.linalg`` stand-in whose symmetric factorization fails.
 
@@ -225,8 +275,9 @@ class TestFallback:
         assert fell_back
         assert fake.calls == ["symmetric", "general"]
         x = np.concatenate([dr, du])
+        order = system.order
         assert rel <= 1e-10
-        assert (np.linalg.norm(system.rhs - system.K @ x)
+        assert (np.linalg.norm(system.rhs[order] - system.K[order][:, order] @ x)
                 <= 1e-10 * np.linalg.norm(system.rhs))
 
     @pytest.mark.parametrize("mode", ["raise", "inaccurate"])
@@ -253,6 +304,9 @@ class TestFallback:
         trial = build_space(mesh, P1)
         forms = NonlinearForms(2.5, trial, test, np.ones(test.n_free),
                                np.zeros(trial.constrained_dofs.size))
+        # the mesh's ordering call runs unpatched; only the per-step
+        # factorizations fail
+        linsolve.saddle_pattern(test, trial)
         monkeypatch.setattr(linsolve, "spla", _FailingSymmetricSpla(
             linsolve.spla, "raise", fail_general))
         result = newton_solve(forms, cold_state(forms), SolverOptions())
