@@ -345,57 +345,6 @@ def mesh_size(m: Mesh) -> float:
     return float(np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1).max())
 
 
-def min_angle(m: Mesh) -> float:
-    """Smallest interior angle over all triangles, in radians."""
-    v = m.vertices[m.triangles]  # (nt, 3, 2)
-    smallest = np.inf
-    for i in range(3):
-        e1 = v[:, (i + 1) % 3] - v[:, i]
-        e2 = v[:, (i + 2) % 3] - v[:, i]
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        dot = (e1 * e2).sum(axis=1)
-        ang = np.arctan2(np.abs(cross), dot)
-        smallest = min(smallest, float(ang.min()))
-    return smallest
-
-
-def check_mesh(m: Mesh, *, rel_tol: float = 1e-12) -> list[str]:
-    """Run all mesh invariants, returning a list of violation messages.
-
-    Checks: positive orientation, edge adjacency counts in {1, 2}, area
-    conservation against the recorded domain area, and absence of hanging
-    nodes.  Refinement only ever inserts edge midpoints, so a hanging node
-    always coincides with the midpoint of some surviving edge; the check
-    looks every edge midpoint up in a vertex coordinate table.
-    """
-    problems: list[str] = []
-
-    areas = signed_areas(m.vertices, m.triangles)
-    if np.any(areas <= 0.0):
-        problems.append(f"{int((areas <= 0).sum())} non-positive triangle areas")
-
-    counts = np.bincount(m.triangle_edges.ravel(), minlength=m.n_edges)
-    if counts.min(initial=2) < 1 or counts.max(initial=1) > 2:
-        problems.append("edge adjacency count outside {1, 2}")
-    if not np.array_equal(counts == 1, m.boundary_edge_flags):
-        problems.append("boundary flags inconsistent with adjacency counts")
-
-    total = float(areas.sum())
-    if abs(total - m.expected_area) > rel_tol * abs(m.expected_area):
-        problems.append(f"area {total!r} differs from domain area "
-                        f"{m.expected_area!r}")
-
-    coord_table = {(float(x), float(y)): i
-                   for i, (x, y) in enumerate(m.vertices)}
-    mids = m.edge_midpoints()
-    for e in range(m.n_edges):
-        hit = coord_table.get((float(mids[e, 0]), float(mids[e, 1])))
-        if hit is not None and hit not in (int(m.edges[e, 0]), int(m.edges[e, 1])):
-            problems.append(f"hanging node: vertex {hit} sits at the midpoint "
-                            f"of edge {e}")
-    return problems
-
-
 def export_svg(m: Mesh, path, *, size: int = 640, stroke: str = "#1a1a1a",
                stroke_width: float = 0.8) -> None:
     """Write a wireframe snapshot of the mesh as an SVG file."""

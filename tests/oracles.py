@@ -6,7 +6,9 @@ the Poisson reference solve assembles the standard P1 Galerkin system
 from scratch, the saddle-point reference uses a dense LAPACK
 factorization, and the reference saddle matrix is assembled through COO,
 CSR and ``sp.bmat`` instead of the per-mesh pattern.  The interpolation
-helpers build discrete functions for the tests.
+helpers build discrete functions for the tests, and the mesh checks
+(:func:`check_mesh`, :func:`min_angle`) test the invariants of refined
+meshes.
 """
 
 import numpy as np
@@ -219,3 +221,56 @@ def embed_p1_in_cr(m, p1_coeffs: np.ndarray) -> np.ndarray:
 def p1_interpolate(m, f) -> np.ndarray:
     """Vertex interpolant of a pointwise function ``f(x, y)``."""
     return np.array([f(x, y) for x, y in m.vertices])
+
+
+def min_angle(m) -> float:
+    """Smallest interior angle over all triangles, in radians."""
+    v = m.vertices[m.triangles]  # (nt, 3, 2)
+    smallest = np.inf
+    for i in range(3):
+        e1 = v[:, (i + 1) % 3] - v[:, i]
+        e2 = v[:, (i + 2) % 3] - v[:, i]
+        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        dot = (e1 * e2).sum(axis=1)
+        ang = np.arctan2(np.abs(cross), dot)
+        smallest = min(smallest, float(ang.min()))
+    return smallest
+
+
+def check_mesh(m, *, rel_tol: float = 1e-12) -> list[str]:
+    """Run all mesh invariants, returning a list of violation messages.
+
+    Checks: positive orientation, edge adjacency counts in {1, 2}, area
+    conservation against the recorded domain area, and absence of hanging
+    nodes.  Refinement only ever inserts edge midpoints, so a hanging node
+    always coincides with the midpoint of some surviving edge; the check
+    looks every edge midpoint up in a vertex coordinate table.
+    """
+    from plapminres.mesh import signed_areas
+
+    problems: list[str] = []
+
+    areas = signed_areas(m.vertices, m.triangles)
+    if np.any(areas <= 0.0):
+        problems.append(f"{int((areas <= 0).sum())} non-positive triangle areas")
+
+    counts = np.bincount(m.triangle_edges.ravel(), minlength=m.n_edges)
+    if counts.min(initial=2) < 1 or counts.max(initial=1) > 2:
+        problems.append("edge adjacency count outside {1, 2}")
+    if not np.array_equal(counts == 1, m.boundary_edge_flags):
+        problems.append("boundary flags inconsistent with adjacency counts")
+
+    total = float(areas.sum())
+    if abs(total - m.expected_area) > rel_tol * abs(m.expected_area):
+        problems.append(f"area {total!r} differs from domain area "
+                        f"{m.expected_area!r}")
+
+    coord_table = {(float(x), float(y)): i
+                   for i, (x, y) in enumerate(m.vertices)}
+    mids = m.edge_midpoints()
+    for e in range(m.n_edges):
+        hit = coord_table.get((float(mids[e, 0]), float(mids[e, 1])))
+        if hit is not None and hit not in (int(m.edges[e, 0]), int(m.edges[e, 1])):
+            problems.append(f"hanging node: vertex {hit} sits at the midpoint "
+                            f"of edge {e}")
+    return problems

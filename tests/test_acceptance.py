@@ -26,13 +26,7 @@ from plapminres.forms import (
     assemble_load,
     local_indicators,
 )
-from plapminres.mesh import (
-    check_mesh,
-    min_angle,
-    refine_marked,
-    refine_uniform,
-    unit_square_mesh,
-)
+from plapminres.mesh import refine_marked, refine_uniform, unit_square_mesh
 from plapminres.newton import SolverOptions, cold_state, continuation_solve, newton_solve
 from plapminres.spaces import (
     CR,
@@ -44,9 +38,11 @@ from plapminres.spaces import (
     triangle_rule,
 )
 from tests.oracles import (
+    check_mesh,
     duality_jacobian_matrix,
     embed_p1_in_cr,
     gauss_edge_mean,
+    min_angle,
     operator_jacobian_matrix,
     p1_interpolate,
     p1_poisson_galerkin,

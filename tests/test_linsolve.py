@@ -178,7 +178,9 @@ class TestSolve:
             solve_symmetric_indefinite(system)
 
 
-SYMMETRIC = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+def superlu_defaults(options):
+    """The factor options with SuperLU's own panel and supernode settings."""
+    return {k: v for k, v in options.items() if k not in ("relax", "panel_size")}
 
 
 class TestOrdering:
@@ -191,10 +193,33 @@ class TestOrdering:
                                  np.zeros(trial.n_free))
         order = system.order
         assert np.array_equal(np.sort(order), np.arange(order.size))
-        baked = spla.splu(system.K, permc_spec="NATURAL", **SYMMETRIC)
-        fresh = spla.splu(system.K[order][:, order],
-                          permc_spec="MMD_AT_PLUS_A", **SYMMETRIC)
+        baked = spla.splu(system.K, **linsolve._SYMMETRIC_LU)
+        fresh = spla.splu(system.K[order][:, order], **linsolve._ORDERING_LU)
         assert baked.nnz == fresh.nnz
+
+    @pytest.mark.parametrize("make_mesh", [lambda: unit_square_mesh(8),
+                                           graded_mesh], ids=["uniform", "graded"])
+    def test_kernel_settings_keep_the_order(self, monkeypatch, make_mesh):
+        mesh = make_mesh()
+        test, trial = build_space(mesh, CR), build_space(mesh, P1)
+        fake = _FailingSymmetricSpla(linsolve.spla, mode=None)
+        monkeypatch.setattr(linsolve, "spla", fake)
+        pattern = linsolve.saddle_pattern(test, trial)
+        monkeypatch.undo()
+        [K2] = fake.matrices
+        default = spla.splu(K2, **superlu_defaults(linsolve._ORDERING_LU))
+        assert np.array_equal(default.perm_c, pattern.order)
+
+    def test_kernel_settings_store_no_more_fill(self):
+        test, trial, G, B = newton_blocks(graded_mesh(), 1.5)
+        rng = np.random.default_rng(12)
+        system = assemble_saddle(test, trial, G, B, rng.standard_normal(test.n_free),
+                                 rng.standard_normal(trial.n_free))
+        tuned = spla.splu(system.K, **linsolve._SYMMETRIC_LU)
+        default = spla.splu(system.K, **superlu_defaults(linsolve._SYMMETRIC_LU))
+        assert tuned.nnz <= default.nnz
+        *_, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        assert rel <= 1e-10 and not fell_back
 
     def test_graded_solve_certified_in_natural_order(self):
         test, trial, G, B = newton_blocks(graded_mesh(), 1.5)
@@ -230,6 +255,7 @@ class _FailingSymmetricSpla:
     ``mode="raise"`` makes it raise like SuperLU on a zero pivot,
     ``mode="inaccurate"`` returns a factor whose solves miss the
     certificate; ``fail_general`` makes the COLAMD factorization raise too.
+    Every call and every matrix it is given are recorded.
     """
 
     def __init__(self, spla, mode, fail_general=False):
@@ -237,10 +263,12 @@ class _FailingSymmetricSpla:
         self.mode = mode
         self.fail_general = fail_general
         self.calls = []
+        self.matrices = []
 
     def splu(self, K, **kwargs):
         symmetric = kwargs.get("options", {}).get("SymmetricMode", False)
         self.calls.append("symmetric" if symmetric else "general")
+        self.matrices.append(K)
         if symmetric and self.mode == "raise" or not symmetric and self.fail_general:
             raise RuntimeError("Factor is exactly singular")
         lu = self._spla.splu(K, **kwargs)

@@ -4,16 +4,15 @@ import pytest
 from plapminres.mesh import (
     Mesh,
     MeshError,
-    check_mesh,
     export_svg,
     export_vtk,
     mesh_size,
-    min_angle,
     refine_marked,
     refine_uniform,
     signed_areas,
     unit_square_mesh,
 )
+from tests.oracles import check_mesh, min_angle
 
 
 def euler_edge_count(nv: int, nt: int) -> int:
