@@ -13,9 +13,10 @@ export-mesh  write SVG/VTK snapshots of (refined) structured meshes
 Bad input (a config value, an option, a malformed file, an output
 directory that cannot be created) ends with an error message and exit
 code 2.  All numeric output is deterministic for identical invocations
-except the wall-clock column of the records CSV.  Thread count of the
-underlying linear algebra follows the usual environment variables
-(OMP_NUM_THREADS and friends).
+except the wall-clock column of the records CSV, also where a uniform
+cold-start study solves its coarser levels on a second thread while the
+finest level runs.  Thread count of the underlying linear algebra
+follows the usual environment variables (OMP_NUM_THREADS and friends).
 """
 
 from __future__ import annotations

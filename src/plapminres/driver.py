@@ -17,6 +17,15 @@ iteration counts are comparable across levels; state transfer onto the
 refined mesh is available as an opt-in warm start.  A failed warm-start
 attempt stays in the level's iteration log, so its Newton iterations are
 counted before the continuation takes over.
+
+Without a warm start, the levels of a uniform study are independent:
+each solve depends on its own mesh alone.  The whole ladder is then
+refined first, the coarser levels are solved in order on one helper
+thread while the finest level is solved on the calling thread, and the
+results are recorded in level order.  The solves themselves are
+deterministic, so every output except ``wall_ms`` is the same as a
+serial run's.  Adaptive and warm-start studies, where a level needs the
+previous level's solution, run serially.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -184,6 +194,29 @@ def pre_adapt_mesh(cfg: ProblemConfig, mesh: Mesh) -> Mesh:
     return mesh
 
 
+def _solve_ladder(mesh: Mesh, n_levels: int, solve, helper: ThreadPoolExecutor
+                  ) -> list[Future]:
+    """Refine ``mesh`` uniformly into ``n_levels`` meshes and solve them all.
+
+    The coarser levels are queued in order on ``helper``; the finest, the
+    costliest, is solved on the calling thread meanwhile.  Each future
+    holds the result of ``solve`` for its level, or the exception it
+    raised, to be read in level order.
+    """
+    ladder = [mesh]
+    for _ in range(n_levels - 1):
+        ladder.append(refine_uniform(ladder[-1]))
+    outcomes = [helper.submit(solve, m) for m in ladder[:-1]]
+    finest = Future()
+    try:
+        finest.set_result(solve(ladder[-1]))
+    except Exception as exc:
+        # raised when read, so that a failing coarser level counts first,
+        # as in a serial run
+        finest.set_exception(exc)
+    return outcomes + [finest]
+
+
 def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
     """Execute the configured study and return one record per level.
 
@@ -199,49 +232,69 @@ def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
     es_target = ExactSolution(cfg.p_target, cfg.sigma, cfg.x0)
     error_rule = triangle_rule(cfg.error_quad_degree)
 
-    records: list[StudyRecord] = []
-    previous = None
-    diagnostic = None
-    for level in range(cfg.max_levels):
+    def solve(mesh: Mesh, previous=None):
         t0 = time.perf_counter()
-        try:
-            forms, state, itlog = _solve_level(cfg, mesh, previous)
-        except ContinuationError as exc:
-            diagnostic = f"level {level}: {exc}"
-            log.error("study aborted: %s", diagnostic)
-            break
-
+        forms, state, itlog = _solve_level(cfg, mesh, previous)
         error = true_error(forms.trial, state.u, es_target.gradient,
                            error_rule, cfg.p_target)
         eta = estimator_global(forms, state.r)
         wall_ms = 1e3 * (time.perf_counter() - t0)
-        records.append(StudyRecord(
-            level=level,
-            n_free_trial=forms.trial.n_free,
-            n_free_test=forms.test.n_free,
-            n_total=forms.trial.n_free + forms.test.n_free,
-            h_max=mesh_size(mesh),
-            error=error,
-            eta=eta,
-            eta_over_error=eta / error if error > 0 else np.inf,
-            eta_root_over_error=(eta ** (1.0 / (cfg.p_target - 1.0)) / error
-                                 if error > 0 else np.inf),
-            newton_total=itlog.total_iterations,
-            damping_events=itlog.total_damping_events,
-            wall_ms=wall_ms,
-        ))
-        if out:
-            out.telemetry(level, itlog)
-            if cfg.strategy == "adaptive" and level in cfg.snapshot_levels:
-                out.snapshot(level, mesh)
+        return forms, state, itlog, error, eta, wall_ms
 
-        if level + 1 < cfg.max_levels:
-            if cfg.strategy == "adaptive":
-                mesh = _refine_adaptively(mesh, forms, state.r, cfg.theta)
-            else:
-                mesh = refine_uniform(mesh)
-            if cfg.warm_start == "direct":
-                previous = (forms, state)
+    # a level depends on the previous one through its marked mesh or its
+    # warm start; otherwise the levels are independent and overlap
+    independent = (cfg.strategy != "adaptive" and cfg.warm_start == "off"
+                   and cfg.max_levels > 1)
+    helper = ThreadPoolExecutor(max_workers=1) if independent else None
+    records: list[StudyRecord] = []
+    previous = None
+    diagnostic = None
+    try:
+        outcomes = (_solve_ladder(mesh, cfg.max_levels, solve, helper)
+                    if helper else None)
+        for level in range(cfg.max_levels):
+            try:
+                forms, state, itlog, error, eta, wall_ms = (
+                    outcomes[level].result() if outcomes
+                    else solve(mesh, previous))
+            except ContinuationError as exc:
+                diagnostic = f"level {level}: {exc}"
+                log.error("study aborted: %s", diagnostic)
+                break
+
+            mesh = forms.trial.mesh
+            records.append(StudyRecord(
+                level=level,
+                n_free_trial=forms.trial.n_free,
+                n_free_test=forms.test.n_free,
+                n_total=forms.trial.n_free + forms.test.n_free,
+                h_max=mesh_size(mesh),
+                error=error,
+                eta=eta,
+                eta_over_error=eta / error if error > 0 else np.inf,
+                eta_root_over_error=(eta ** (1.0 / (cfg.p_target - 1.0))
+                                     / error if error > 0 else np.inf),
+                newton_total=itlog.total_iterations,
+                damping_events=itlog.total_damping_events,
+                wall_ms=wall_ms,
+            ))
+            if out:
+                out.telemetry(level, itlog)
+                if cfg.strategy == "adaptive" and level in cfg.snapshot_levels:
+                    out.snapshot(level, mesh)
+
+            if not outcomes and level + 1 < cfg.max_levels:
+                if cfg.strategy == "adaptive":
+                    mesh = _refine_adaptively(mesh, forms, state.r, cfg.theta)
+                else:
+                    mesh = refine_uniform(mesh)
+                if cfg.warm_start == "direct":
+                    previous = (forms, state)
+    finally:
+        if helper:
+            # drops the levels a failure left queued and waits for the
+            # running one, so no thread outlives the study
+            helper.shutdown(cancel_futures=True)
 
     if out:
         out.finish(records, diagnostic)

@@ -1,15 +1,16 @@
 import json
-from dataclasses import replace
+import threading
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from plapminres import driver, newton
+from plapminres import driver, linsolve, newton
 from plapminres.driver import ProblemConfig, pre_adapt_mesh, run_study, transfer_state
-from plapminres.estimate import ExactSolution, true_error
+from plapminres.estimate import ExactSolution, estimator_global, true_error
 from plapminres.forms import LoadSpec, assemble_load
-from plapminres.mesh import refine_marked, refine_uniform, unit_square_mesh
-from plapminres.newton import DiscreteState, SolverOptions
+from plapminres.mesh import mesh_size, refine_marked, refine_uniform, unit_square_mesh
+from plapminres.newton import ContinuationError, DiscreteState, SolverOptions
 from plapminres.spaces import (
     CR,
     P1,
@@ -279,3 +280,102 @@ class TestStudies:
         assert "ndof_convention" in meta
         assert (out / "mesh_step_0.svg").exists()
         assert (out / "mesh_step_2.svg").exists()
+
+
+def _level_by_level(cfg, mesh):
+    """Records (without ``wall_ms``) and telemetry lines of ``cfg``'s
+    uniform ladder from ``mesh``, solved one level after the other."""
+    es = ExactSolution(cfg.p_target, cfg.sigma, cfg.x0)
+    rule = triangle_rule(cfg.error_quad_degree)
+    rows, lines = [], []
+    for level in range(cfg.max_levels):
+        forms, state, itlog = driver._solve_level(cfg, mesh)
+        error = true_error(forms.trial, state.u, es.gradient, rule,
+                           cfg.p_target)
+        eta = estimator_global(forms, state.r)
+        rows.append(dict(
+            level=level, n_free_trial=forms.trial.n_free,
+            n_free_test=forms.test.n_free,
+            n_total=forms.trial.n_free + forms.test.n_free,
+            h_max=mesh_size(mesh), error=error, eta=eta,
+            eta_over_error=eta / error,
+            eta_root_over_error=eta ** (1.0 / (cfg.p_target - 1.0)) / error,
+            newton_total=itlog.total_iterations,
+            damping_events=itlog.total_damping_events))
+        lines += [rec.as_json(level=level) for rec in itlog.records]
+        mesh = refine_uniform(mesh)
+    return rows, lines
+
+
+class TestIndependentLevels:
+    """Cold-start uniform levels overlap on a helper thread."""
+
+    @pytest.mark.parametrize("cfg", [
+        ProblemConfig(p_target=3.0, max_levels=4),
+        ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
+                      strategy="pre_adapted_then_uniform", pre_adapt_steps=2,
+                      max_levels=3),
+    ], ids=["uniform_p3", "pre_adapted_p1.5"])
+    def test_equals_level_by_level_solves(self, tmp_path, monkeypatch, cfg):
+        real = linsolve._build_pattern
+        meshes = []
+
+        def counted(test, trial):
+            meshes.append(test.mesh)
+            return real(test, trial)
+
+        monkeypatch.setattr(linsolve, "_build_pattern", counted)
+        out = tmp_path / "study"
+        records = run_study(replace(cfg, output_dir=str(out)))
+        # the pre-adaptation solves add their own meshes
+        assert len(meshes) >= cfg.max_levels
+        assert len({id(mesh) for mesh in meshes}) == len(meshes)
+
+        start = unit_square_mesh(cfg.initial_n)
+        if cfg.strategy == "pre_adapted_then_uniform":
+            start = pre_adapt_mesh(cfg, start)
+        rows, lines = _level_by_level(cfg, start)
+        assert [{k: v for k, v in asdict(rec).items() if k != "wall_ms"}
+                for rec in records] == rows
+        assert (out / "telemetry.jsonl").read_text().splitlines() == lines
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["level_1", "finest"])
+    def test_failure_keeps_the_levels_before_it(self, tmp_path, monkeypatch,
+                                                failing):
+        real = driver.continuation_solve
+        cfg = ProblemConfig(p_target=3.0, max_levels=3)
+        failing_triangles = 2 * cfg.initial_n ** 2 * 4 ** failing
+
+        def fail_on_one_mesh(p_target, factory, opts):
+            if factory(p_target).trial.mesh.n_triangles == failing_triangles:
+                raise ContinuationError("step underflow (injected)",
+                                        newton.IterationLog())
+            return real(p_target, factory, opts)
+
+        monkeypatch.setattr(driver, "continuation_solve", fail_on_one_mesh)
+        threads = threading.active_count()
+        out = tmp_path / "study"
+        records = run_study(replace(cfg, output_dir=str(out)))
+        assert threading.active_count() == threads
+
+        assert [rec.level for rec in records] == list(range(failing))
+        rows = (out / "records.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(failing))
+        telemetry = [json.loads(line) for line in
+                     (out / "telemetry.jsonl").read_text().splitlines()]
+        assert {t["level"] for t in telemetry} == set(range(failing))
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["diagnostic"].startswith(f"level {failing}: ")
+
+    @pytest.mark.parametrize("cfg", [
+        ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
+                      strategy="adaptive", max_levels=2),
+        ProblemConfig(p_target=3.0, max_levels=2, warm_start="direct"),
+        ProblemConfig(p_target=3.0, max_levels=1),
+    ], ids=["adaptive", "warm_start", "one_level"])
+    def test_dependent_levels_start_no_thread(self, monkeypatch, cfg):
+        def refused(*args, **kwargs):
+            raise AssertionError("a helper thread was requested")
+
+        monkeypatch.setattr(driver, "ThreadPoolExecutor", refused)
+        assert len(run_study(cfg)) == cfg.max_levels
