@@ -113,7 +113,8 @@ class StudyRecord:
 def estimator_global(forms: NonlinearForms, r_coeffs: np.ndarray) -> float:
     """Global estimator: broken seminorm of the residual representative,
     raised to the power p - 1 (the discrete dual norm of the residual)."""
-    return broken_seminorm(forms.test, r_coeffs, forms.p) ** (forms.p - 1.0)
+    g_r = all_element_gradients(forms.test, r_coeffs)
+    return broken_seminorm(forms.test, g_r, forms.p) ** (forms.p - 1.0)
 
 
 def true_error(trial: DofMap, u_coeffs: np.ndarray, exact_gradient,
@@ -162,7 +163,7 @@ def fit_rate(records, quantity: str, window: int) -> float:
     """Least-squares slope of log(quantity) against log(n_total).
 
     ``quantity`` is ``"error"`` or ``"eta"``; the fit uses the last
-    ``window`` records, which must exist and all be positive.
+    ``window`` records, which must exist and all be finite and positive.
     """
     if window < 2:
         raise EstimateError("rate fit needs at least two levels")
@@ -173,7 +174,7 @@ def fit_rate(records, quantity: str, window: int) -> float:
     tail = records[-window:]
     x = np.array([rec.n_total for rec in tail], dtype=float)
     y = np.array([getattr(rec, quantity) for rec in tail], dtype=float)
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise EstimateError("rate fit requires positive quantities")
+    if not np.all((0.0 < x) & (x < np.inf) & (0.0 < y) & (y < np.inf)):
+        raise EstimateError("rate fit requires finite, positive quantities")
     slope, _ = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope)

@@ -18,6 +18,10 @@ identity <D(r), r> = ||r||^p hold to round-off.
 Jacobian assembly regularizes the degenerate weights with a small epsilon
 so Newton matrices stay finite for 1 < p < 2; the residual evaluations are
 never regularized.
+
+The per-trial forms (both actions and both Jacobians) take the (nt, 2)
+element gradients of their argument, computed once per Newton trial; the
+once-per-level load and indicators take coefficients.
 """
 
 from __future__ import annotations
@@ -107,59 +111,57 @@ def _gather_free(dm: DofMap, cell_values: np.ndarray) -> np.ndarray:
     return full[dm.free_dofs]
 
 
-def apply_plaplacian(forms: NonlinearForms, u_coeffs: np.ndarray) -> np.ndarray:
+def apply_plaplacian(forms: NonlinearForms, g_u: np.ndarray) -> np.ndarray:
     """Action of the broken p-Laplacian on u, tested with free CR functions.
 
-    A zero element gradient contributes nothing for any p > 1 (the flux
-    |g|^(p-2) g has magnitude |g|^(p-1) -> 0), so no regularization is
-    needed here.
+    ``g_u`` holds the element gradients of u.  A zero element gradient
+    contributes nothing for any p > 1 (the flux |g|^(p-2) g has magnitude
+    |g|^(p-1) -> 0), so no regularization is needed here.
     """
     geo = geometry_of(forms.mesh)
-    g = all_element_gradients(forms.trial, u_coeffs)
-    s = np.linalg.norm(g, axis=1)
+    s = np.linalg.norm(g_u, axis=1)
     w = np.zeros_like(s)
     nz = s > 0.0
     w[nz] = s[nz] ** (forms.p - 2.0)
-    flux = geo.areas[:, None] * w[:, None] * g
+    flux = geo.areas[:, None] * w[:, None] * g_u
     cells = np.einsum("td,tid->ti", flux, geo.grad_cr)
     return _gather_free(forms.test, cells)
 
 
-def apply_duality_map(forms: NonlinearForms, r_coeffs: np.ndarray) -> np.ndarray:
-    """Gradient of (1/p) * ||r||^p in the broken componentwise norm."""
+def apply_duality_map(forms: NonlinearForms, g_r: np.ndarray) -> np.ndarray:
+    """Gradient of (1/p) * ||r||^p in the broken componentwise norm, from
+    the element gradients ``g_r`` of r."""
     geo = geometry_of(forms.mesh)
-    g = all_element_gradients(forms.test, r_coeffs)
-    w = np.sign(g) * np.abs(g) ** (forms.p - 1.0)
+    w = np.sign(g_r) * np.abs(g_r) ** (forms.p - 1.0)
     cells = np.einsum("t,td,tid->ti", geo.areas, w, geo.grad_cr)
     return _gather_free(forms.test, cells)
 
 
-def _jacobian_epsilon(forms: NonlinearForms, dm: DofMap, coeffs: np.ndarray) -> float:
+def _jacobian_epsilon(forms: NonlinearForms, dm: DofMap, g: np.ndarray) -> float:
     """Regularization scale: tied to the current gradient magnitude."""
-    scale = broken_seminorm(dm, coeffs, forms.p)
+    scale = broken_seminorm(dm, g, forms.p)
     return max(EPS_FLOOR, EPS_FLOOR * scale)
 
 
 def assemble_operator_jacobian(forms: NonlinearForms,
-                               u_coeffs: np.ndarray) -> np.ndarray:
+                               g_u: np.ndarray) -> np.ndarray:
     """Derivative of the p-Laplacian action at u, as (nt, 3, 3) element
     blocks (local test x local trial DOFs).
 
     Entry (i, j) integrates
         mu_eps(g) * [grad(psi_j) . grad(phi_i)
                      + (p - 2) (g . grad(psi_j)) (g . grad(phi_i)) / (|g|^2 + eps^2)]
-    with mu_eps(g) = (|g|^2 + eps^2)^((p-2)/2) and g the element gradient
-    of u.  For eps = 0 and nonvanishing gradients this is the exact Gateaux
-    derivative.
+    with mu_eps(g) = (|g|^2 + eps^2)^((p-2)/2) and g = ``g_u``, the element
+    gradient of u.  For eps = 0 and nonvanishing gradients this is the
+    exact Gateaux derivative.
     """
     geo = geometry_of(forms.mesh)
-    g = all_element_gradients(forms.trial, u_coeffs)
-    eps = _jacobian_epsilon(forms, forms.trial, u_coeffs)
-    s2 = (g ** 2).sum(axis=1) + eps ** 2
+    eps = _jacobian_epsilon(forms, forms.trial, g_u)
+    s2 = (g_u ** 2).sum(axis=1) + eps ** 2
     mu = s2 ** ((forms.p - 2.0) / 2.0)
 
-    du = np.einsum("td,tjd->tj", g, geo.grad_p1)
-    dv = np.einsum("td,tid->ti", g, geo.grad_cr)
+    du = np.einsum("td,tjd->tj", g_u, geo.grad_p1)
+    dv = np.einsum("td,tid->ti", g_u, geo.grad_cr)
     scale = (forms.p - 2.0) * geo.areas / s2
     rank1 = scale[:, None, None] * dv[:, :, None] * du[:, None, :]
     return mu[:, None, None] * (geo.cr_p1_products + rank1)
@@ -178,8 +180,9 @@ def apply_jacobian_transpose(forms: NonlinearForms, B_blocks: np.ndarray,
 
 
 def assemble_duality_jacobian(forms: NonlinearForms,
-                              r_coeffs: np.ndarray) -> np.ndarray:
-    """Hessian of (1/p)*||r||^p, as (nt, 3, 3) test x test element blocks.
+                              g_r: np.ndarray) -> np.ndarray:
+    """Hessian of (1/p)*||r||^p, as (nt, 3, 3) test x test element blocks,
+    from the element gradients ``g_r`` of r.
 
     Componentwise weights (p-1) * (g_k^2 + eps^2)^((p-2)/2) make the matrix
     positive definite for eps > 0.  Each block weights the two exactly
@@ -187,9 +190,8 @@ def assemble_duality_jacobian(forms: NonlinearForms,
     symmetric, and so is the assembled matrix.
     """
     geo = geometry_of(forms.mesh)
-    g = all_element_gradients(forms.test, r_coeffs)
-    eps = _jacobian_epsilon(forms, forms.test, r_coeffs)
-    d = (forms.p - 1.0) * (g ** 2 + eps ** 2) ** ((forms.p - 2.0) / 2.0)
+    eps = _jacobian_epsilon(forms, forms.test, g_r)
+    d = (forms.p - 1.0) * (g_r ** 2 + eps ** 2) ** ((forms.p - 2.0) / 2.0)
     products = geo.cr_products
     return (d[:, 0, None, None] * products[0]
             + d[:, 1, None, None] * products[1])

@@ -34,6 +34,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .forms import (
     assemble_operator_jacobian,
 )
 from .linsolve import LinearSolveError, assemble_saddle, solve_symmetric_indefinite
-from .spaces import broken_seminorm
+from .spaces import all_element_gradients, broken_seminorm
 
 
 class ContinuationError(RuntimeError):
@@ -115,7 +116,8 @@ class SolverOptions:
 class NewtonResult:
     """Outcome of one fixed-exponent Newton solve; one telemetry line.
 
-    ``state`` is the last iterate, at the exponent of the solve.
+    ``state`` is the last iterate, at the exponent of the solve, and
+    ``final_increment`` is None (JSON null) if no step was taken.
     ``linear_fallbacks`` counts the linear solves whose symmetric
     factorization was refused (see :mod:`plapminres.linsolve`).
     """
@@ -124,7 +126,7 @@ class NewtonResult:
     iterations: int
     damping_events: int
     converged: bool
-    final_increment: float
+    final_increment: float | None
     history: list[dict]
     linear_fallbacks: int
 
@@ -144,7 +146,7 @@ class NewtonResult:
             "linear_residuals": [h.get("linear_residual")
                                  for h in self.history],
         })
-        return json.dumps(payload)
+        return json.dumps(payload, allow_nan=False)
 
 
 @dataclass
@@ -162,26 +164,30 @@ class IterationLog:
         return sum(rec.damping_events for rec in self.records)
 
 
-def nonlinear_residual(forms: NonlinearForms, state: DiscreteState,
-                       operator_jacobian=None):
-    """Residual blocks of the mixed system at the given state.
+class Residual(NamedTuple):
+    """Residual blocks at an iterate (u, r) over the free test and trial
+    DOFs, their norm, and what the next Newton matrix needs there: the
+    operator Jacobian's element blocks ``B`` and r's element gradients."""
 
-    Returns ``(top, bottom)`` over free test and free trial DOFs; both
-    vanish at an exact discrete solution.  ``operator_jacobian`` may pass a
-    pre-assembled Jacobian at ``state.u`` (its element blocks) to avoid
-    recomputation.
-    """
-    B = operator_jacobian
-    if B is None:
-        B = assemble_operator_jacobian(forms, state.u)
-    top = (forms.load_free - apply_duality_map(forms, state.r)
-           - apply_plaplacian(forms, state.u))
+    top: np.ndarray
+    bottom: np.ndarray
+    norm: float
+    B: np.ndarray
+    g_r: np.ndarray
+
+
+def nonlinear_residual(forms: NonlinearForms, state: DiscreteState) -> Residual:
+    """Residual of the mixed system at the given state; both blocks vanish
+    at an exact discrete solution.  Every form takes the element gradients
+    of u and r computed here once."""
+    g_u = all_element_gradients(forms.trial, state.u)
+    g_r = all_element_gradients(forms.test, state.r)
+    B = assemble_operator_jacobian(forms, g_u)
+    top = (forms.load_free - apply_duality_map(forms, g_r)
+           - apply_plaplacian(forms, g_u))
     bottom = -apply_jacobian_transpose(forms, B, state.r)
-    return top, bottom
-
-
-def _residual_norm(top: np.ndarray, bottom: np.ndarray) -> float:
-    return float(np.sqrt(top @ top + bottom @ bottom))
+    return Residual(top, bottom, float(np.sqrt(top @ top + bottom @ bottom)),
+                    B, g_r)
 
 
 def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
@@ -197,71 +203,62 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
     # clamp the constrained entries to the data of this problem
     u[trial.constrained_dofs] = forms.dirichlet_values
     r[test.constrained_dofs] = 0.0
-
-    B = assemble_operator_jacobian(forms, u)
-    top, bottom = nonlinear_residual(forms, DiscreteState(u, r, forms.p), B)
-    res_norm = _residual_norm(top, bottom)
+    state = DiscreteState(u, r, forms.p)
+    res = nonlinear_residual(forms, state)
     res_floor = 1e-12 * (1.0 + float(np.linalg.norm(forms.load_free)))
 
     history: list[dict] = []
     damping_events = 0
     fallbacks = 0
-    increment = np.inf
+    increment = None
 
     for iteration in range(1, opts.max_newton + 1):
-        G = assemble_duality_jacobian(forms, r)
-        system = assemble_saddle(test, trial, G, B, top, bottom)
+        G = assemble_duality_jacobian(forms, res.g_r)
+        system = assemble_saddle(test, trial, G, res.B, res.top, res.bottom)
         try:
             dr, du, lin_res, fell_back = solve_symmetric_indefinite(
                 system, opts.linear_rel_tol)
         except LinearSolveError as exc:
             # raised only after the symmetric factorization was refused
             history.append({"iteration": iteration, "error": str(exc)})
-            return NewtonResult(DiscreteState(u, r, forms.p), iteration - 1,
-                                damping_events, False, increment, history,
-                                fallbacks + 1)
+            return NewtonResult(state, iteration - 1, damping_events, False,
+                                increment, history, fallbacks + 1)
         fallbacks += fell_back
 
         alpha = 1.0
         damped = False
         best = None
         for _ in range(opts.max_backtracks + 1):
-            u_try = u.copy()
-            r_try = r.copy()
+            u_try = state.u.copy()
+            r_try = state.r.copy()
             u_try[trial.free_dofs] += alpha * du
             r_try[test.free_dofs] += alpha * dr
-            B_try = assemble_operator_jacobian(forms, u_try)
-            top_try, bottom_try = nonlinear_residual(
-                forms, DiscreteState(u_try, r_try, forms.p), B_try)
-            norm_try = _residual_norm(top_try, bottom_try)
-            if best is None or norm_try < best[0]:
-                best = (norm_try, u_try, r_try, B_try, top_try, bottom_try)
-            if norm_try <= res_norm:
+            state_try = DiscreteState(u_try, r_try, forms.p)
+            res_try = nonlinear_residual(forms, state_try)
+            if best is None or res_try.norm < best[1].norm:
+                best = (state_try, res_try)
+            if res_try.norm <= res.norm:
                 break
             damped = True
             alpha *= opts.backtrack_factor
         if damped:
             damping_events += 1
-        res_norm, u, r, B, top, bottom = (best[0], best[1], best[2],
-                                          best[3], best[4], best[5])
+        state, res = best
 
-        dr_full = np.zeros(test.n_total)
-        dr_full[test.free_dofs] = dr
-        du_full = np.zeros(trial.n_total)
-        du_full[trial.free_dofs] = du
-        increment = (broken_seminorm(test, dr_full, forms.p)
-                     + broken_seminorm(trial, du_full, forms.p))
+        g_dr = all_element_gradients(test, test.full_from_free(dr))
+        g_du = all_element_gradients(trial, trial.full_from_free(du))
+        increment = (broken_seminorm(test, g_dr, forms.p)
+                     + broken_seminorm(trial, g_du, forms.p))
         history.append({"iteration": iteration, "increment": increment,
-                        "residual": res_norm, "damped": damped,
+                        "residual": res.norm, "damped": damped,
                         "linear_residual": lin_res})
 
-        if increment < opts.newton_tol or res_norm <= res_floor:
-            return NewtonResult(DiscreteState(u, r, forms.p), iteration,
-                                damping_events, True, increment, history,
-                                fallbacks)
+        if increment < opts.newton_tol or res.norm <= res_floor:
+            return NewtonResult(state, iteration, damping_events, True,
+                                increment, history, fallbacks)
 
-    return NewtonResult(DiscreteState(u, r, forms.p), opts.max_newton,
-                        damping_events, False, increment, history, fallbacks)
+    return NewtonResult(state, opts.max_newton, damping_events, False,
+                        increment, history, fallbacks)
 
 
 def cold_state(forms: NonlinearForms) -> DiscreteState:

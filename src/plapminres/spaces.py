@@ -14,7 +14,8 @@ space change with the exponent, so they live with the exponent's
 
 Coefficient vectors are always "full" (one entry per DOF, constrained
 entries included); :class:`DofMap` converts between full vectors and the
-free subvector seen by solvers.
+free subvector seen by solvers.  :func:`broken_seminorm` and the per-trial
+forms take the (nt, 2) element gradients of :func:`all_element_gradients`.
 """
 
 from __future__ import annotations
@@ -243,16 +244,15 @@ def geometry_of(m: Mesh) -> ElementGeometry:
     return geo
 
 
-def broken_seminorm(dm: DofMap, coeffs: np.ndarray, p: float) -> float:
+def broken_seminorm(dm: DofMap, g: np.ndarray, p: float) -> float:
     """Broken W^{1,p} seminorm with componentwise gradient powers.
 
-    Returns ``(sum_T area_T * (|g_T1|^p + |g_T2|^p))^{1/p}`` where ``g_T``
-    is the constant gradient on triangle ``T``; exact for piecewise
+    Returns ``(sum_T area_T * (|g_T1|^p + |g_T2|^p))^{1/p}`` for the (nt, 2)
+    element gradients ``g`` of a function of ``dm``; exact for piecewise
     linears.
     """
     if p <= 1.0:
         raise SpaceError("broken seminorm requires p > 1")
     geo = geometry_of(dm.mesh)
-    g = all_element_gradients(dm, coeffs)
     mass = geo.areas @ (np.abs(g) ** p).sum(axis=1)
     return float(mass ** (1.0 / p))

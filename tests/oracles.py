@@ -164,8 +164,10 @@ def reference_saddle_matrix(G_blocks, B_blocks, test, trial) -> sp.csc_matrix:
 def operator_jacobian_matrix(forms, u_coeffs) -> sp.csr_matrix:
     """Free test x free trial operator Jacobian, scattered from its blocks."""
     from plapminres.forms import assemble_operator_jacobian
+    from plapminres.spaces import all_element_gradients
 
-    return scatter_matrix(assemble_operator_jacobian(forms, u_coeffs),
+    g_u = all_element_gradients(forms.trial, u_coeffs)
+    return scatter_matrix(assemble_operator_jacobian(forms, g_u),
                           forms.test, forms.trial)
 
 
@@ -176,8 +178,10 @@ def duality_jacobian_matrix(forms, r_coeffs) -> sp.csr_matrix:
     symmetric matrix.
     """
     from plapminres.forms import assemble_duality_jacobian
+    from plapminres.spaces import all_element_gradients
 
-    return scatter_matrix(assemble_duality_jacobian(forms, r_coeffs),
+    g_r = all_element_gradients(forms.test, r_coeffs)
+    return scatter_matrix(assemble_duality_jacobian(forms, g_r),
                           forms.test, forms.test)
 
 

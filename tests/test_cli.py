@@ -192,6 +192,18 @@ class TestBadInputExits2:
         assert_input_error(["rates", "--csv", str(path), "--window", window],
                            capsys, needle)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rates_non_finite_error(self, tmp_path, capsys, value):
+        path = tmp_path / "records.csv"
+        write_two_row_csv(path)
+        capsys.readouterr()
+        header, first, last = path.read_text().strip().splitlines()
+        cells = last.split(",")
+        cells[5] = value  # the error column
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        assert_input_error(["rates", "--csv", str(path), "--window", "2"],
+                           capsys, f"{path}: rate fit requires finite")
+
     @pytest.mark.parametrize("argv,needle", [
         (["--n", "0"], "--n 0"), (["--refine", "-1"], "--refine")],
         ids=["n-0", "refine-negative"])

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from plapminres import estimate, newton, spaces
+from plapminres import forms as forms_module
 from plapminres.estimate import ExactSolution
 from plapminres.forms import (
     LoadSpec,
@@ -11,7 +15,7 @@ from plapminres.forms import (
     assemble_load,
     assemble_operator_jacobian,
 )
-from plapminres.mesh import unit_square_mesh
+from plapminres.mesh import refine_marked, unit_square_mesh
 from plapminres.newton import (
     ContinuationError,
     DiscreteState,
@@ -24,6 +28,7 @@ from plapminres.newton import (
 from plapminres.spaces import (
     CR,
     P1,
+    all_element_gradients,
     broken_seminorm,
     build_space,
     element_dofs,
@@ -63,7 +68,7 @@ class TestNonlinearResidual:
                                np.zeros(trial.constrained_dofs.size))
         state = DiscreteState(np.zeros(trial.n_total),
                               np.zeros(test.n_total), 2.5)
-        top, bottom = nonlinear_residual(forms, state)
+        top, bottom, *_ = nonlinear_residual(forms, state)
         assert np.array_equal(top, np.zeros(test.n_free))
         assert np.array_equal(bottom, np.zeros(trial.n_free))
 
@@ -73,10 +78,11 @@ class TestNonlinearResidual:
         forms = factory(2.0)
         u = p1_poisson_galerkin(mesh, forms.dirichlet_values, load_free, test)
         G = duality_jacobian_matrix(forms, np.zeros(test.n_total))
-        rhs = load_free - apply_plaplacian(forms, u)
+        rhs = load_free - apply_plaplacian(
+            forms, all_element_gradients(forms.trial, u))
         r = np.zeros(test.n_total)
         r[test.free_dofs] = spla.spsolve(G.tocsc(), rhs)
-        top, bottom = nonlinear_residual(forms, DiscreteState(u, r, 2.0))
+        top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r, 2.0))
         assert np.abs(top).max() <= 1e-9
         assert np.abs(bottom).max() <= 1e-9
 
@@ -87,13 +93,15 @@ class TestNonlinearResidual:
         u = rng.standard_normal(forms.trial.n_total)
         r = np.zeros(test.n_total)
         r[test.free_dofs] = rng.standard_normal(test.n_free)
-        top, bottom = nonlinear_residual(forms, DiscreteState(u, r, 2.3))
-        top2 = (load_free - apply_duality_map(forms, r)
-                - apply_plaplacian(forms, u))
+        top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r, 2.3))
+        g_u = all_element_gradients(forms.trial, u)
+        top2 = (load_free
+                - apply_duality_map(forms, all_element_gradients(test, r))
+                - apply_plaplacian(forms, g_u))
         assert np.array_equal(top, top2)
         # -B^T r summed per element, in the order of the element DOFs
         trial = forms.trial
-        cells = np.einsum("tij,ti->tj", assemble_operator_jacobian(forms, u),
+        cells = np.einsum("tij,ti->tj", assemble_operator_jacobian(forms, g_u),
                           r[element_dofs(test)])
         full = np.zeros(trial.n_total)
         np.add.at(full, element_dofs(trial).ravel(), cells.ravel())
@@ -148,6 +156,42 @@ class TestNewtonSolve:
         residuals = [h["residual"] for h in result.history]
         for a, b in zip(residuals, residuals[1:]):
             assert b <= a * (1.0 + 1e-12)
+
+
+class TestGradientReuse:
+    def test_gradients_computed_once_per_trial(self, monkeypatch):
+        # a residual evaluation computes the element gradients of u and r,
+        # an iteration those of its two increments, and no form recomputes
+        # them from coefficients
+        mesh = unit_square_mesh(4)
+        for _ in range(3):
+            mesh = refine_marked(mesh, np.arange(0, mesh.n_triangles, 3))
+        trial = build_space(mesh, P1)
+        test = build_space(mesh, CR)
+        load_free = assemble_load(LoadSpec(sigma=SIGMA, x0=(0.0, 0.0)), test,
+                                  triangle_rule(10))
+        boundary = mesh.vertices[trial.constrained_dofs]
+        forms = NonlinearForms(1.5, trial, test, load_free, ExactSolution(
+            1.5, SIGMA, (0.0, 0.0)).value(boundary))
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        gradients = counted("gradients", spaces.all_element_gradients)
+        for module in (spaces, forms_module, estimate, newton):
+            monkeypatch.setattr(module, "all_element_gradients", gradients)
+        monkeypatch.setattr(newton, "nonlinear_residual", counted(
+            "residuals", newton.nonlinear_residual))
+        result = newton_solve(forms, cold_state(forms),
+                              SolverOptions(max_newton=8))
+        assert result.iterations >= 2
+        assert calls["residuals"] > result.iterations
+        assert (calls["gradients"]
+                <= 2 * calls["residuals"] + 2 * result.iterations)
 
 
 class TestContinuation:
@@ -207,8 +251,10 @@ class TestGalerkinEquivalence:
         u_ref = p1_poisson_galerkin(mesh, forms.dirichlet_values, load_free,
                                     test)
         diff = result.state.u - u_ref
-        rel = (broken_seminorm(forms.trial, diff, 2.0)
-               / broken_seminorm(forms.trial, u_ref, 2.0))
+        trial = forms.trial
+        rel = (broken_seminorm(trial, all_element_gradients(trial, diff), 2.0)
+               / broken_seminorm(trial, all_element_gradients(trial, u_ref),
+                                 2.0))
         assert rel <= 1e-8
 
     def test_telemetry_serializes(self):
