@@ -163,10 +163,10 @@ def cmd_case2(args) -> int:
 
 def cmd_rates(args) -> int:
     path = Path(args.csv)
-    lines = path.read_text().strip().splitlines()
-    if not lines or lines[0] != StudyRecord.CSV_HEADER:
-        raise ConfigError(f"{path}: unexpected CSV header")
     try:
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
+        if not lines or lines[0] != StudyRecord.CSV_HEADER:
+            raise ValueError("unexpected CSV header")
         records = [StudyRecord.from_csv_row(line) for line in lines[1:]]
         slopes = {quantity: fit_rate(records, quantity, args.window)
                   for quantity in ("error", "eta")}

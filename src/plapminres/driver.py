@@ -20,20 +20,21 @@ counted before the continuation takes over.
 
 Without a warm start, the levels of a uniform study are independent:
 each solve depends on its own mesh alone.  The whole ladder is then
-refined first, the coarser levels are solved in order on one helper
-thread while the finest level is solved on the calling thread, and the
-results are recorded in level order.  The solves themselves are
-deterministic, so every output except ``wall_ms`` is the same as a
-serial run's.  Adaptive and warm-start studies, where a level needs the
-previous level's solution, run serially.
+refined first and solved on two worker threads, the finest level first
+and the coarser ones in order beside it, and the results are recorded
+in level order.  The solves themselves are deterministic, so every
+output except ``wall_ms`` is the same as a serial run's.  Adaptive and
+warm-start studies, where a level needs the previous level's solution,
+run serially.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -58,7 +59,7 @@ from .newton import (
     is_integer,
     newton_solve,
 )
-from .spaces import CR, P1, DofMap, build_space, geometry_of, triangle_rule
+from .spaces import CR, P1, DofMap, all_element_gradients, build_space, geometry_of, triangle_rule
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +105,16 @@ class ProblemConfig:
         # continuation path, which runs from 2 to p_target
         if not self.sigma < self.p_target:
             raise ValueError("sigma must be < p_target")
+        # r ** q peaks on the boundary at a corner; close to p = 1 it
+        # overflows while the amplitude underflows, and the Dirichlet data
+        # of the continuation's end points turns NaN
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with np.errstate(all="ignore"):
+            values = [ExactSolution(p, self.sigma, self.x0).value(corners)
+                      for p in (2.0, self.p_target)]
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"p_target = {self.p_target!r} makes the "
+                             "benchmark solution non-finite on the boundary")
         if not (is_finite_real(self.theta) and 0.0 < self.theta <= 1.0):
             raise ValueError("theta must lie in (0, 1]")
         if not (self.output_dir is None or isinstance(self.output_dir, str)):
@@ -194,27 +205,45 @@ def pre_adapt_mesh(cfg: ProblemConfig, mesh: Mesh) -> Mesh:
     return mesh
 
 
-def _solve_ladder(mesh: Mesh, n_levels: int, solve, helper: ThreadPoolExecutor
-                  ) -> list[Future]:
-    """Refine ``mesh`` uniformly into ``n_levels`` meshes and solve them all.
+def _levels(cfg: ProblemConfig, mesh: Mesh, solve):
+    """Yield the result of ``solve`` for each level of the study, in order.
 
-    The coarser levels are queued in order on ``helper``; the finest, the
-    costliest, is solved on the calling thread meanwhile.  Each future
-    holds the result of ``solve`` for its level, or the exception it
-    raised, to be read in level order.
+    A level depends on the one before it through its marked mesh or its
+    warm start; such levels are solved one after the other, and the next
+    mesh is refined only when another level follows.  Otherwise the
+    uniform ladder is refined first and its levels are solved on two
+    worker threads, the finest (the costliest) first and the coarser ones
+    in order beside it.  A level's exception is raised when it is reached,
+    so a failing coarser level counts first, as in a serial run.
     """
+    if (cfg.strategy == "adaptive" or cfg.warm_start == "direct"
+            or cfg.max_levels == 1):
+        previous = None
+        for level in range(cfg.max_levels):
+            if level:
+                if cfg.strategy == "adaptive":
+                    mesh = _refine_adaptively(mesh, forms, state.r, cfg.theta)
+                else:
+                    mesh = refine_uniform(mesh)
+                if cfg.warm_start == "direct":
+                    previous = (forms, state)
+            forms, state, *rest = solve(mesh, previous)
+            yield forms, state, *rest
+        return
+
     ladder = [mesh]
-    for _ in range(n_levels - 1):
+    for _ in range(cfg.max_levels - 1):
         ladder.append(refine_uniform(ladder[-1]))
-    outcomes = [helper.submit(solve, m) for m in ladder[:-1]]
-    finest = Future()
+    pool = ThreadPoolExecutor(max_workers=2)
     try:
-        finest.set_result(solve(ladder[-1]))
-    except Exception as exc:
-        # raised when read, so that a failing coarser level counts first,
-        # as in a serial run
-        finest.set_exception(exc)
-    return outcomes + [finest]
+        finest = pool.submit(solve, ladder[-1])
+        futures = [pool.submit(solve, m) for m in ladder[:-1]] + [finest]
+        for future in futures:
+            yield future.result()
+    finally:
+        # drops the levels a failure left queued and waits for the running
+        # ones, so no thread outlives the study
+        pool.shutdown(cancel_futures=True)
 
 
 def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
@@ -241,60 +270,37 @@ def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
         wall_ms = 1e3 * (time.perf_counter() - t0)
         return forms, state, itlog, error, eta, wall_ms
 
-    # a level depends on the previous one through its marked mesh or its
-    # warm start; otherwise the levels are independent and overlap
-    independent = (cfg.strategy != "adaptive" and cfg.warm_start == "off"
-                   and cfg.max_levels > 1)
-    helper = ThreadPoolExecutor(max_workers=1) if independent else None
     records: list[StudyRecord] = []
-    previous = None
     diagnostic = None
     try:
-        outcomes = (_solve_ladder(mesh, cfg.max_levels, solve, helper)
-                    if helper else None)
-        for level in range(cfg.max_levels):
-            try:
-                forms, state, itlog, error, eta, wall_ms = (
-                    outcomes[level].result() if outcomes
-                    else solve(mesh, previous))
-            except ContinuationError as exc:
-                diagnostic = f"level {level}: {exc}"
-                log.error("study aborted: %s", diagnostic)
-                break
-
-            mesh = forms.trial.mesh
-            records.append(StudyRecord(
-                level=level,
-                n_free_trial=forms.trial.n_free,
-                n_free_test=forms.test.n_free,
-                n_total=forms.trial.n_free + forms.test.n_free,
-                h_max=mesh_size(mesh),
-                error=error,
-                eta=eta,
-                eta_over_error=eta / error if error > 0 else np.inf,
-                eta_root_over_error=(eta ** (1.0 / (cfg.p_target - 1.0))
-                                     / error if error > 0 else np.inf),
-                newton_total=itlog.total_iterations,
-                damping_events=itlog.total_damping_events,
-                wall_ms=wall_ms,
-            ))
-            if out:
-                out.telemetry(level, itlog)
-                if cfg.strategy == "adaptive" and level in cfg.snapshot_levels:
-                    out.snapshot(level, mesh)
-
-            if not outcomes and level + 1 < cfg.max_levels:
-                if cfg.strategy == "adaptive":
-                    mesh = _refine_adaptively(mesh, forms, state.r, cfg.theta)
-                else:
-                    mesh = refine_uniform(mesh)
-                if cfg.warm_start == "direct":
-                    previous = (forms, state)
-    finally:
-        if helper:
-            # drops the levels a failure left queued and waits for the
-            # running one, so no thread outlives the study
-            helper.shutdown(cancel_futures=True)
+        # closing: a failure in the loop body stops the workers at once
+        with contextlib.closing(_levels(cfg, mesh, solve)) as levels:
+            for level, (forms, _, itlog, error, eta, wall_ms) in enumerate(
+                    levels):
+                mesh = forms.trial.mesh
+                records.append(StudyRecord(
+                    level=level,
+                    n_free_trial=forms.trial.n_free,
+                    n_free_test=forms.test.n_free,
+                    n_total=forms.trial.n_free + forms.test.n_free,
+                    h_max=mesh_size(mesh),
+                    error=error,
+                    eta=eta,
+                    eta_over_error=eta / error if error > 0 else np.inf,
+                    eta_root_over_error=(eta ** (1.0 / (cfg.p_target - 1.0))
+                                         / error if error > 0 else np.inf),
+                    newton_total=itlog.total_iterations,
+                    damping_events=itlog.total_damping_events,
+                    wall_ms=wall_ms,
+                ))
+                if out:
+                    out.telemetry(level, itlog)
+                    if (cfg.strategy == "adaptive"
+                            and level in cfg.snapshot_levels):
+                        out.snapshot(level, mesh)
+    except ContinuationError as exc:
+        diagnostic = f"level {len(records)}: {exc}"
+        log.error("study aborted: %s", diagnostic)
 
     if out:
         out.finish(records, diagnostic)
@@ -325,31 +331,18 @@ def transfer_state(state: DiscreteState, old_trial: DofMap, old_test: DofMap,
     parents = new_mesh.vertex_parents
     u_new = 0.5 * (state.u[parents[:, 0]] + state.u[parents[:, 1]])
 
-    # broken evaluation of the old CR function at new edge midpoints
-    geo_old = geometry_of(old_mesh)
-    mids = new_mesh.edge_midpoints()
+    # the old CR function is affine on each parent: its mean edge value
+    # at the centroid plus its gradient times the offset
     tpar = new_mesh.parent
-    r_acc = np.zeros(new_mesh.n_edges)
-    r_cnt = np.zeros(new_mesh.n_edges)
-    old_dofs = old_mesh.triangle_edges
-    for local in range(3):
-        edge_ids = new_mesh.triangle_edges[:, local]
-        x = mids[edge_ids]                      # (nt_new, 2)
-        par = tpar                              # parent per new triangle
-        origin = old_mesh.vertices[old_mesh.triangles[par, 0]]
-        jac = np.stack([old_mesh.vertices[old_mesh.triangles[par, 1]] - origin,
-                        old_mesh.vertices[old_mesh.triangles[par, 2]] - origin],
-                       axis=2)                  # columns are edge vectors
-        rhs = x - origin
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        lam1 = (rhs[:, 0] * jac[:, 1, 1] - rhs[:, 1] * jac[:, 0, 1]) / det
-        lam2 = (rhs[:, 1] * jac[:, 0, 0] - rhs[:, 0] * jac[:, 1, 0]) / det
-        lam = np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=1)
-        phi = 1.0 - 2.0 * lam                   # CR basis on the parent
-        vals = np.einsum("ti,ti->t", state.r[old_dofs[par]], phi)
-        np.add.at(r_acc, edge_ids, vals)
-        np.add.at(r_cnt, edge_ids, 1.0)
-    r_new = r_acc / np.maximum(r_cnt, 1.0)
+    mean = state.r[old_mesh.triangle_edges].mean(axis=1)[tpar]
+    g_r = all_element_gradients(old_test, state.r)[tpar]
+    centroid = geometry_of(old_mesh).tri_coords.mean(axis=1)[tpar]
+    edges = new_mesh.triangle_edges
+    offset = new_mesh.edge_midpoints()[edges] - centroid[:, None, :]
+    vals = mean[:, None] + np.einsum("td,tkd->tk", g_r, offset)
+    r_sum = np.bincount(edges.ravel(), vals.ravel(), new_mesh.n_edges)
+    r_cnt = np.bincount(edges.ravel(), minlength=new_mesh.n_edges)
+    r_new = r_sum / np.maximum(r_cnt, 1)
     r_new[new_test.constrained_dofs] = 0.0
     # boundary trial values stay prolonged; the Newton solve clamps them to
     # the target problem's Dirichlet data anyway

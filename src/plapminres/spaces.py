@@ -55,10 +55,6 @@ class QuadRule:
     weights: np.ndarray
     degree: int
 
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
     def physical_points(self, tri_coords: np.ndarray) -> np.ndarray:
         """Map to physical coordinates; tri_coords is (nt, 3, 2) or (3, 2)."""
         return np.einsum("qk,...kd->...qd", self.points, tri_coords)
@@ -68,22 +64,12 @@ class QuadRule:
 def triangle_rule(degree: int) -> QuadRule:
     """Interior-point rule exact for polynomials of the given total degree.
 
-    Degrees up to 2 use the classical symmetric 3-point rule; higher
-    degrees use a conical-product Gauss rule (Gauss-Legendre crossed with
-    Gauss-Jacobi weighted by the collapsed-coordinate Jacobian), which has
-    positive weights and strictly interior points for every order.
+    A conical-product Gauss rule (Gauss-Legendre crossed with Gauss-Jacobi
+    weighted by the collapsed-coordinate Jacobian), which has positive
+    weights and strictly interior points for every order.
     """
     if degree < 1:
         raise SpaceError("quadrature degree must be >= 1")
-    if degree <= 2:
-        points = np.array([
-            [2 / 3, 1 / 6, 1 / 6],
-            [1 / 6, 2 / 3, 1 / 6],
-            [1 / 6, 1 / 6, 2 / 3],
-        ])
-        weights = np.full(3, 1 / 6)
-        return QuadRule(points, weights, 2)
-
     n = degree // 2 + 1  # conical product is exact up to 2n - 1
     xg, wg = leggauss(n)
     xi = 0.5 * (xg + 1.0)

@@ -132,9 +132,10 @@ class TestRunCommand:
         ('{"p_target": 1.5, "sigma": 1.5}', "sigma"),
         ('{"p_target": 1.5, "sigma": 1.9}', "sigma"),
         ('{"p_target": 1.5, "sigma": 1.65, "x0": [0, 0]}', "sigma"),
+        ('{"p_target": 1.0000001, "sigma": 0.5}', "p_target"),
     ], ids=["snapshot_levels", "sigma", "max_newton", "newton_tol",
             "sigma-equals-p_target", "sigma-on-continuation-path",
-            "sigma-above-p_target"])
+            "sigma-above-p_target", "p_target-near-one"])
     def test_bad_value_exits_2(self, tmp_path, capsys, text, field):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -182,6 +183,12 @@ class TestBadInputExits2:
         path = tmp_path / "records.csv"
         path.write_text("")
         assert_input_error(["rates", "--csv", str(path)], capsys, "header")
+
+    def test_rates_non_utf8_csv(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"\xff\xfelevel,n_free_trial\n")
+        assert_input_error(["rates", "--csv", str(path)], capsys,
+                           f"{path}: 'utf-8' codec")
 
     @pytest.mark.parametrize("window,needle", [
         ("1", "at least two levels"), ("3", "window of 3 levels")])

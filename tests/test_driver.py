@@ -368,6 +368,42 @@ class TestIndependentLevels:
         assert meta["diagnostic"].startswith(f"level {failing}: ")
 
     @pytest.mark.parametrize("cfg", [
+        ProblemConfig(p_target=3.0, max_levels=3),
+        ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
+                      strategy="adaptive", max_levels=2),
+    ], ids=["uniform", "adaptive"])
+    def test_other_errors_propagate(self, tmp_path, monkeypatch, cfg):
+        real = driver.continuation_solve
+        coarsest = 2 * cfg.initial_n ** 2  # triangles of level 0
+
+        def fail_on_level_1(p_target, factory, opts):
+            # one refinement step at most quadruples the triangles
+            n = factory(p_target).trial.mesh.n_triangles
+            if coarsest < n <= 4 * coarsest:
+                raise RuntimeError("level 1 (injected)")
+            return real(p_target, factory, opts)
+
+        monkeypatch.setattr(driver, "continuation_solve", fail_on_level_1)
+        threads = threading.active_count()
+        out = tmp_path / "study"
+        with pytest.raises(RuntimeError, match="level 1"):
+            run_study(replace(cfg, output_dir=str(out)))
+        assert threading.active_count() == threads
+        assert not (out / "records.csv").exists()
+
+    def test_failure_in_the_record_loop_stops_the_workers(self, monkeypatch):
+        def failing(mesh):
+            raise OSError("no space left (injected)")
+
+        monkeypatch.setattr(driver, "mesh_size", failing)
+        threads = threading.active_count()
+        # excinfo keeps the traceback, and so the study's frames, alive:
+        # the workers must stop without waiting for them to be collected
+        with pytest.raises(OSError, match="injected") as excinfo:
+            run_study(ProblemConfig(p_target=3.0, max_levels=3))
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cfg", [
         ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
                       strategy="adaptive", max_levels=2),
         ProblemConfig(p_target=3.0, max_levels=2, warm_start="direct"),
