@@ -11,12 +11,13 @@ rates        fit log-log slopes from an existing records CSV
 export-mesh  write SVG/VTK snapshots of (refined) structured meshes
 
 Bad input (a config value, an option, a malformed file, an output
-directory that cannot be created) ends with an error message and exit
-code 2.  All numeric output is deterministic for identical invocations
-except the wall-clock column of the records CSV, also where a uniform
-cold-start study solves its coarser levels on a second thread while the
-finest level runs.  Thread count of the underlying linear algebra
-follows the usual environment variables (OMP_NUM_THREADS and friends).
+directory that cannot be created, a load center x0 on a quadrature
+point) ends with an error message and exit code 2.  All numeric output
+is deterministic for identical invocations except the wall-clock column
+of the records CSV, also where a uniform cold-start study solves its
+coarser levels on a second thread while the finest level runs.  Thread
+count of the underlying linear algebra follows the usual environment
+variables (OMP_NUM_THREADS and friends).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 
 from .driver import ProblemConfig, run_study
 from .estimate import EstimateError, StudyRecord, fit_rate
+from .forms import FormsError
 from .mesh import MeshError, export_svg, export_vtk, refine_uniform, unit_square_mesh
 from .newton import SolverOptions
 
@@ -252,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, FormsError, EstimateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -177,7 +177,13 @@ def _solve_level(cfg: ProblemConfig, mesh: Mesh,
             log.warning("warm start failed at p=%.3f; falling back to "
                         "continuation", cfg.p_target)
     if state is None:
-        state, cont_log = continuation_solve(cfg.p_target, factory, cfg.solver)
+        try:
+            state, cont_log = continuation_solve(cfg.p_target, factory,
+                                                 cfg.solver)
+        except ContinuationError as exc:
+            # the aborted level's telemetry keeps a failed warm start too
+            exc.log.records[:0] = itlog.records
+            raise
         itlog.records += cont_log.records
     return forms, state, itlog
 
@@ -251,7 +257,8 @@ def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
 
     A continuation abort terminates the study early: the records collected
     so far are returned and a diagnostic is logged (and written next to
-    the other artifacts when an output directory is configured).
+    the other artifacts when an output directory is configured, with the
+    aborted level's Newton solves in the telemetry).
     """
     mesh = unit_square_mesh(cfg.initial_n)
     if cfg.strategy == "pre_adapted_then_uniform":
@@ -301,6 +308,8 @@ def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
     except ContinuationError as exc:
         diagnostic = f"level {len(records)}: {exc}"
         log.error("study aborted: %s", diagnostic)
+        if out:
+            out.telemetry(len(records), exc.log)
 
     if out:
         out.finish(records, diagnostic)
@@ -370,7 +379,8 @@ class _ArtifactWriter:
         lines = [StudyRecord.CSV_HEADER] + [r.csv_row() for r in records]
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         (self.dir / "telemetry.jsonl").write_text(
-            "\n".join(self._telemetry_lines) + "\n", encoding="utf-8")
+            "".join(line + "\n" for line in self._telemetry_lines),
+            encoding="utf-8")
         meta = asdict(self.cfg)
         meta["ndof_convention"] = ("n_total = free trial DOFs + free test "
                                    "DOFs; trial and test counts are also "

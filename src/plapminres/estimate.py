@@ -20,9 +20,9 @@ class EstimateError(ValueError):
 class ExactSolution:
     """Radially symmetric benchmark solution of the p-Laplacian.
 
-    With r = |x - x0| and d = 2,
+    With r = |x - x0| in two dimensions,
 
-        u(x) = (p-1)/(p-sigma) * (1/(d-sigma))^(1/(p-1)) * (1 - r^q),
+        u(x) = (p-1)/(p-sigma) * (1/(2-sigma))^(1/(p-1)) * (1 - r^q),
         q = (p - sigma)/(p - 1),
 
     which satisfies -div(|grad u|^(p-2) grad u) = r^(-sigma) and vanishes
@@ -33,13 +33,12 @@ class ExactSolution:
     p: float
     sigma: float
     x0: tuple[float, float]
-    d: int = 2
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise EstimateError("p must be > 1")
-        if not self.sigma < self.d:
-            raise EstimateError("sigma must be < d for an integrable load")
+        if not self.sigma < 2.0:
+            raise EstimateError("sigma must be < 2 for an integrable load")
         if self.p == self.sigma:
             raise EstimateError("p must differ from sigma: the solution "
                                 "degenerates to a logarithm")
@@ -51,7 +50,7 @@ class ExactSolution:
     @property
     def amplitude(self) -> float:
         return ((self.p - 1.0) / (self.p - self.sigma)
-                * (1.0 / (self.d - self.sigma)) ** (1.0 / (self.p - 1.0)))
+                * (1.0 / (2.0 - self.sigma)) ** (1.0 / (self.p - 1.0)))
 
     def value(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -69,7 +68,7 @@ class ExactSolution:
             if self.radial_exponent <= 1.0:
                 raise EstimateError("gradient is singular at the load center x0")
             r = np.where(at_center, 1.0, r)
-        coeff = ((1.0 / (self.d - self.sigma)) ** (1.0 / (self.p - 1.0))
+        coeff = ((1.0 / (2.0 - self.sigma)) ** (1.0 / (self.p - 1.0))
                  * r ** (self.radial_exponent - 2.0))
         return -coeff[..., None] * diff
 

@@ -209,7 +209,7 @@ def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray
     pts = quad.physical_points(geo.tri_coords)  # (nt, nq, 2)
     dist = np.linalg.norm(pts - np.asarray(load.x0), axis=-1)
     if not np.all(dist > 0.0):
-        raise FormsError("quadrature point coincides with the load center")
+        raise FormsError("a quadrature point coincides with the load center x0")
     fx = load(pts)
     phi = 1.0 - 2.0 * quad.points  # CR basis at the rule's barycentric points
     cells = 2.0 * geo.areas[:, None] * np.einsum(

@@ -136,24 +136,25 @@ def _build_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     rows, cols = rows[keep], cols[keep]
     size = n + m
 
-    def in_order(order: np.ndarray) -> SaddlePattern:
-        keys, inverse = np.unique(order[cols] * size + order[rows],
-                                  return_inverse=True)  # column-major order
-        slots = np.full(keep.size, keys.size)
-        slots[keep] = inverse
-        indptr = np.searchsorted(keys // size, np.arange(size + 1))
-        arrays = (indptr, keys % size, slots, order)
-        for arr in arrays:
-            arr.setflags(write=False)
-        return SaddlePattern(n, m, *arrays)
-
-    K2 = in_order(np.arange(size)).matrix(geo.cr_products.sum(axis=0),
-                                          geo.cr_p1_products)
+    values = np.concatenate([geo.cr_products.sum(axis=0).ravel(),
+                             geo.cr_p1_products.ravel(),
+                             geo.cr_p1_products.ravel()])
+    K2 = sp.csc_matrix((values[keep], (rows, cols)), shape=(size, size))
     try:
         lu = spla.splu(K2, **_ORDERING_LU)
     except RuntimeError:  # a zero pivot of the static pivoting
         lu = spla.splu(K2, **_GENERAL_LU)
-    return in_order(np.array(lu.perm_c, dtype=np.int64))
+    order = np.array(lu.perm_c, dtype=np.int64)
+
+    keys, inverse = np.unique(order[cols] * size + order[rows],
+                              return_inverse=True)  # column-major order
+    slots = np.full(keep.size, keys.size)
+    slots[keep] = inverse
+    indptr = np.searchsorted(keys // size, np.arange(size + 1))
+    arrays = (indptr, keys % size, slots, order)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return SaddlePattern(n, m, *arrays)
 
 
 _PATTERN_CACHE: "weakref.WeakKeyDictionary[Mesh, SaddlePattern]" = weakref.WeakKeyDictionary()

@@ -8,6 +8,12 @@ edge connectivity.  Two refinement operations are provided:
 * :func:`refine_marked` -- newest-vertex bisection of a marked subset,
   with recursive conforming closure so that no hanging nodes remain.
 
+Both build their children as one table per refinement, without a loop
+over triangles: red refinement stacks four children per triangle, and
+bisection fills an (nt, 4, 3) table of the up to four children each
+triangle can have and keeps the rows its marked edges select, in
+parent order.
+
 Conventions used throughout the package:
 
 * local edge ``i`` of a triangle is the edge opposite local vertex ``i``;
@@ -187,19 +193,12 @@ def unit_square_mesh(n: int) -> Mesh:
     xx, yy = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return _build_mesh(vertices, np.asarray(tris), expected_area=1.0)
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = j * (n + 1) + i
+    v11 = v00 + n + 2
+    tris = np.stack([v00, v00 + 1, v11, v00, v11, v00 + n + 1],
+                    axis=1).reshape(-1, 3)
+    return _build_mesh(vertices, tris, expected_area=1.0)
 
 
 def refine_uniform(m: Mesh) -> Mesh:
@@ -290,51 +289,31 @@ def refine_marked(m: Mesh, marked) -> Mesh:
     vertex_parents = np.vstack([np.stack([old, old], axis=1),
                                 m.edges[marked_edge_ids]])
 
-    new_tris = []
-    new_ref = []
-    new_parent = []
-
-    def emit(t, verts, ref_local):
-        new_tris.append(verts)
-        new_ref.append(ref_local)
-        new_parent.append(t)
-
-    def bisect(t, p, q, r, mid, split_left, split_right,
-               mid_left, mid_right):
-        # ordered triangle (p, q, r) with refinement edge (p, q);
-        # children inherit the full former edges (r, p) and (q, r) as their
-        # refinement edges and split again in this round when those are
-        # marked
-        if split_left:
-            emit(t, (r, mid_left, mid), 1)
-            emit(t, (mid_left, p, mid), 0)
-        else:
-            emit(t, (p, mid, r), 1)
-        if split_right:
-            emit(t, (q, mid_right, mid), 1)
-            emit(t, (mid_right, r, mid), 0)
-        else:
-            emit(t, (mid, q, r), 0)
-
-    for t in range(nt):
-        local = edge_marked[te[t]]
-        if not local.any():
-            emit(t, tuple(tri[t]), ref[t])
-            continue
-        r = ref[t]
-        peak = tri[t, r]
-        p = tri[t, (r + 1) % 3]
-        q = tri[t, (r + 2) % 3]
-        e_pq = te[t, r]
-        e_rp = te[t, (r + 2) % 3]  # edge opposite q, i.e. (peak, p)
-        e_qr = te[t, (r + 1) % 3]  # edge opposite p, i.e. (q, peak)
-        bisect(t, p, q, peak, midvertex[e_pq],
-               edge_marked[e_rp], edge_marked[e_qr],
-               midvertex[e_rp], midvertex[e_qr])
-
-    return _build_mesh(vertices, np.asarray(new_tris, dtype=np.int64),
-                       refinement_edge=np.asarray(new_ref, dtype=np.int64),
-                       parent=np.asarray(new_parent, dtype=np.int64),
+    # one (nt, 4, 3) child table, left half before right half.  Triangle
+    # (peak, p, q) with refinement edge (p, q) is bisected at mid; its
+    # halves inherit the full former edges (peak, p) and (q, peak) as their
+    # refinement edges and split again across them when those are marked
+    peak, p, q = (tri[rows, (ref + k) % 3] for k in range(3))
+    mid = midvertex[ref_global]
+    e_left, e_right = te[rows, (ref + 2) % 3], te[rows, (ref + 1) % 3]
+    left, right = edge_marked[e_left], edge_marked[e_right]
+    ml, mr = midvertex[e_left], midvertex[e_right]
+    split = edge_marked[ref_global]
+    children = np.stack([
+        np.where(split, np.where(left, [peak, ml, mid], [p, mid, peak]), tri.T),
+        [ml, p, mid],
+        np.where(right, [q, mr, mid], [mid, q, peak]),
+        [mr, peak, mid],
+    ]).transpose(2, 0, 1)
+    zero = np.zeros(nt, dtype=np.int64)
+    child_ref = np.stack([np.where(split, 1, ref), zero, right, zero], axis=1)
+    # after the closure a triangle with any marked edge has its refinement
+    # edge marked, so split selects exactly the triangles that are divided
+    keep = np.stack([np.ones(nt, dtype=bool), split & left, split,
+                     split & right], axis=1)
+    return _build_mesh(vertices, children[keep],
+                       refinement_edge=child_ref[keep],
+                       parent=np.repeat(rows, keep.sum(axis=1)),
                        vertex_parents=vertex_parents,
                        expected_area=m.expected_area)
 
@@ -345,9 +324,9 @@ def mesh_size(m: Mesh) -> float:
     return float(np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1).max())
 
 
-def export_svg(m: Mesh, path, *, size: int = 640, stroke: str = "#1a1a1a",
-               stroke_width: float = 0.8) -> None:
-    """Write a wireframe snapshot of the mesh as an SVG file."""
+def export_svg(m: Mesh, path) -> None:
+    """Write a 640 x 640 pixel wireframe snapshot of the mesh as an SVG file."""
+    size = 640
     lo = m.vertices.min(axis=0)
     hi = m.vertices.max(axis=0)
     span = max(float((hi - lo).max()), 1e-30)
@@ -361,8 +340,8 @@ def export_svg(m: Mesh, path, *, size: int = 640, stroke: str = "#1a1a1a",
 
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">',
-             f'<g stroke="{stroke}" stroke-width="{stroke_width}" '
-             f'fill="none" stroke-linecap="round">']
+             '<g stroke="#1a1a1a" stroke-width="0.8" '
+             'fill="none" stroke-linecap="round">']
     ev = m.vertices[m.edges]
     for k in range(m.n_edges):
         x1, y1 = to_px(ev[k, 0])

@@ -47,13 +47,11 @@ class QuadRule:
     """Quadrature rule in barycentric coordinates on the reference triangle.
 
     ``points`` has shape (nq, 3) and ``weights`` sums to the reference area
-    1/2; all points are strictly interior.  ``degree`` is the total
-    polynomial degree integrated exactly.
+    1/2; all points are strictly interior.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
     def physical_points(self, tri_coords: np.ndarray) -> np.ndarray:
         """Map to physical coordinates; tri_coords is (nt, 3, 2) or (3, 2)."""
@@ -84,7 +82,7 @@ def triangle_rule(degree: int) -> QuadRule:
     points = np.column_stack([1.0 - x - y, x, y])
     for arr in (points, w):
         arr.setflags(write=False)
-    return QuadRule(points, w, 2 * n - 1)
+    return QuadRule(points, w)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def radial_seminorm_p(es) -> float:
     def r_hi(th):
         return min((1.0 - x0[0]) / np.cos(th), (1.0 - x0[1]) / np.sin(th))
 
-    amp = (1.0 / (es.d - es.sigma)) ** (1.0 / (es.p - 1.0))
+    amp = (1.0 / (2.0 - es.sigma)) ** (1.0 / (es.p - 1.0))
     q = es.radial_exponent
 
     def integrand(r, th):

@@ -133,9 +133,17 @@ class TestRunCommand:
         ('{"p_target": 1.5, "sigma": 1.9}', "sigma"),
         ('{"p_target": 1.5, "sigma": 1.65, "x0": [0, 0]}', "sigma"),
         ('{"p_target": 1.0000001, "sigma": 0.5}', "p_target"),
+        # x0 on the one-point load rule's point of a level-0 triangle
+        ('{"p_target": 2.0, "x0": [0.33333333333333337, 0.16666666666666669],'
+         ' "load_quad_degree": 1, "initial_n": 2, "max_levels": 1}', "x0"),
+        # x0 on the one-point error rule's point, where the gradient of the
+        # sigma = 1.2 solution is singular
+        ('{"p_target": 1.5, "sigma": 1.2, "error_quad_degree": 1,'
+         ' "x0": [0.33333333333333337, 0.16666666666666669]}', "x0"),
     ], ids=["snapshot_levels", "sigma", "max_newton", "newton_tol",
             "sigma-equals-p_target", "sigma-on-continuation-path",
-            "sigma-above-p_target", "p_target-near-one"])
+            "sigma-above-p_target", "p_target-near-one",
+            "x0-on-load-quadrature-point", "x0-on-error-quadrature-point"])
     def test_bad_value_exits_2(self, tmp_path, capsys, text, field):
         path = tmp_path / "config.json"
         path.write_text(text)

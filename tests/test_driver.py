@@ -245,11 +245,47 @@ class TestStudies:
         assert sum(r.newton_total for r in records) == sum(
             res.iterations for res in executed)
 
-    def test_abort_returns_partial_records(self, caplog):
+    def test_aborted_level_keeps_its_failed_warm_start(self, tmp_path,
+                                                       monkeypatch):
+        real = driver.continuation_solve
+
+        def failing_warm_start(forms, state, opts):
+            return newton.newton_solve(forms, state,
+                                       replace(opts, max_newton=1))
+
+        def abort_on_level_1(p_target, factory, opts):
+            if factory(p_target).trial.mesh.n_triangles > 8:
+                raise ContinuationError("step underflow (injected)",
+                                        newton.IterationLog())
+            return real(p_target, factory, opts)
+
+        monkeypatch.setattr(driver, "newton_solve", failing_warm_start)
+        monkeypatch.setattr(driver, "continuation_solve", abort_on_level_1)
+        out = tmp_path / "study"
+        records = run_study(ProblemConfig(p_target=3.0, max_levels=2,
+                                          warm_start="direct",
+                                          output_dir=str(out)))
+        assert len(records) == 1
+        telem = [json.loads(line) for line in
+                 (out / "telemetry.jsonl").read_text().splitlines()]
+        assert [(t["p"], t["iterations"], t["converged"]) for t in telem
+                if t["level"] == 1] == [(3.0, 1, False)]
+
+    def test_abort_returns_partial_records(self, tmp_path):
+        out = tmp_path / "study"
         cfg = ProblemConfig(p_target=3.0, max_levels=2,
-                            solver=SolverOptions(max_newton=1, min_step=0.02))
+                            solver=SolverOptions(max_newton=1, min_step=0.02),
+                            output_dir=str(out))
         records = run_study(cfg)
         assert records == []
+        # the aborted level's solves are in the telemetry: the linear stage
+        # converges in one iteration, the halved attempts toward p = 3 fail
+        telem = [json.loads(line) for line in
+                 (out / "telemetry.jsonl").read_text().splitlines()]
+        assert len(telem) > 1
+        assert {t["level"] for t in telem} == {0}
+        assert (telem[0]["p"], telem[0]["converged"]) == (2.0, True)
+        assert telem[-1]["converged"] is False
 
     def test_pre_adaptation_refines_near_corner(self):
         cfg = ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=8,
@@ -337,9 +373,11 @@ class TestIndependentLevels:
         rows, lines = _level_by_level(cfg, start)
         assert [{k: v for k, v in asdict(rec).items() if k != "wall_ms"}
                 for rec in records] == rows
-        assert (out / "telemetry.jsonl").read_text().splitlines() == lines
+        assert (out / "telemetry.jsonl").read_text() == "".join(
+            line + "\n" for line in lines)
 
-    @pytest.mark.parametrize("failing", [1, 2], ids=["level_1", "finest"])
+    @pytest.mark.parametrize("failing", [0, 1, 2],
+                             ids=["coarsest", "level_1", "finest"])
     def test_failure_keeps_the_levels_before_it(self, tmp_path, monkeypatch,
                                                 failing):
         real = driver.continuation_solve

@@ -59,6 +59,12 @@ class TestUnitSquare:
         with pytest.raises(MeshError):
             unit_square_mesh(0)
 
+    def test_triangle_order_n2(self):
+        # row-major cells, each lower-right then upper-left of its diagonal
+        assert unit_square_mesh(2).triangles.tolist() == [
+            [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+            [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]]
+
     def test_refined_n1_matches_n2_up_to_relabeling(self):
         refined = refine_uniform(unit_square_mesh(1))
         direct = unit_square_mesh(2)
@@ -145,6 +151,35 @@ class TestMarkedRefinement:
             m = refine_marked(m, marked)
             assert check_mesh(m) == []
         assert min_angle(m) >= 0.5 * initial_angle - 1e-12
+
+    # On this 6-triangle mesh, marks (0, 4) leave triangles 1, 3 and 5
+    # whole, bisect 0 and 4 once and split 2 across all three edges; marks
+    # (0, 1) bisect 0, 1, 3 and 4 once and add the left half's split to 5
+    # and the right half's to 2.  The children of each parent come in a
+    # fixed order, which the triangle numbering of the next level (and so
+    # the marking tie-break and the assembly order) depends on.
+    @pytest.mark.parametrize("marked,triangles,refinement_edge,parent", [
+        ((0, 4),
+         [[4, 9, 6], [9, 1, 6], [6, 3, 4], [4, 8, 7], [8, 0, 7], [1, 9, 7],
+          [9, 4, 7], [2, 5, 4], [0, 8, 5], [8, 4, 5], [4, 3, 2]],
+         [1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0],
+         [0, 0, 1, 2, 2, 2, 2, 3, 4, 4, 5]),
+        ((0, 1),
+         [[4, 8, 6], [8, 1, 6], [3, 10, 6], [10, 4, 6], [0, 7, 4], [1, 8, 7],
+          [8, 4, 7], [2, 5, 4], [5, 0, 4], [4, 10, 9], [10, 3, 9], [9, 2, 4]],
+         [1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0],
+         [0, 0, 1, 1, 2, 2, 2, 3, 4, 5, 5, 5]),
+    ], ids=["whole-bisected-all_three", "left-right"])
+    def test_bisection_child_order(self, marked, triangles, refinement_edge,
+                                   parent):
+        m = refine_marked(refine_marked(unit_square_mesh(1), [0]), [0, 2])
+        assert m.triangles.tolist() == [[1, 6, 4], [6, 3, 4], [4, 0, 1],
+                                        [2, 5, 4], [5, 0, 4], [4, 3, 2]]
+        assert m.refinement_edge.tolist() == [1, 0, 0, 1, 0, 0]
+        r = refine_marked(m, marked)
+        assert r.triangles.tolist() == triangles
+        assert r.refinement_edge.tolist() == refinement_edge
+        assert r.parent.tolist() == parent
 
     def test_area_conserved_under_bisection(self):
         m = unit_square_mesh(2)
