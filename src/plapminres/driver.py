@@ -65,6 +65,8 @@ log = logging.getLogger(__name__)
 
 STRATEGIES = ("uniform", "pre_adapted_then_uniform", "adaptive")
 WARM_STARTS = ("off", "direct")
+# a rule of degree d holds (d // 2 + 1) ** 2 points per triangle
+MAX_QUAD_DEGREE = 40
 
 
 @dataclass
@@ -123,6 +125,9 @@ class ProblemConfig:
                      "error_quad_degree"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("load_quad_degree", "error_quad_degree"):
+            if getattr(self, name) > MAX_QUAD_DEGREE:
+                raise ValueError(f"{name} must be <= {MAX_QUAD_DEGREE}")
         if self.pre_adapt_steps < 0:
             raise ValueError("pre_adapt_steps must be >= 0")
         if self.strategy not in STRATEGIES:

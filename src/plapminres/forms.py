@@ -212,8 +212,7 @@ def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray
         raise FormsError("a quadrature point coincides with the load center x0")
     fx = load(pts)
     phi = 1.0 - 2.0 * quad.points  # CR basis at the rule's barycentric points
-    cells = 2.0 * geo.areas[:, None] * np.einsum(
-        "q,tq,qi->ti", quad.weights, fx, phi)
+    cells = 2.0 * geo.areas[:, None] * ((fx * quad.weights) @ phi)
     return _gather_free(test_dm, cells)
 
 

@@ -333,21 +333,15 @@ def export_svg(m: Mesh, path) -> None:
     pad = 0.02 * span
     scale = size / (span + 2 * pad)
 
-    def to_px(pt):
-        x = (pt[0] - lo[0] + pad) * scale
-        y = size - (pt[1] - lo[1] + pad) * scale  # SVG y grows downward
-        return x, y
-
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">',
              '<g stroke="#1a1a1a" stroke-width="0.8" '
              'fill="none" stroke-linecap="round">']
-    ev = m.vertices[m.edges]
-    for k in range(m.n_edges):
-        x1, y1 = to_px(ev[k, 0])
-        x2, y2 = to_px(ev[k, 1])
-        lines.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" '
-                     f'x2="{x2:.2f}" y2="{y2:.2f}"/>')
+    ev = m.vertices[m.edges]  # (ne, 2, 2)
+    px = (ev[:, :, 0] - lo[0] + pad) * scale
+    py = size - (ev[:, :, 1] - lo[1] + pad) * scale  # SVG y grows downward
+    lines += [f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"/>'
+              for (x1, x2), (y1, y2) in zip(px.tolist(), py.tolist())]
     lines.append("</g></svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

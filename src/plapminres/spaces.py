@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .mesh import Mesh, signed_areas
 
@@ -55,7 +54,22 @@ class QuadRule:
 
     def physical_points(self, tri_coords: np.ndarray) -> np.ndarray:
         """Map to physical coordinates; tri_coords is (nt, 3, 2) or (3, 2)."""
-        return np.einsum("qk,...kd->...qd", self.points, tri_coords)
+        return self.points @ tri_coords
+
+
+def gauss_jacobi_1_0(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule on [-1, 1] for the weight 1 - x, nodes ascending.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the monic Jacobi(1, 0) recurrence, and the weights are
+    mu0 = 2 times the squared first components of its eigenvectors.
+    """
+    k = np.arange(n, dtype=float)
+    diag = -1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2.0 * k[1:] + 1.0)
+    nodes, vectors = np.linalg.eigh(
+        np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vectors[0] ** 2
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +86,7 @@ def triangle_rule(degree: int) -> QuadRule:
     xg, wg = leggauss(n)
     xi = 0.5 * (xg + 1.0)
     wxi = 0.5 * wg
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    xj, wj = gauss_jacobi_1_0(n)
     eta = 0.5 * (xj + 1.0)
     weta = 0.25 * wj
 

@@ -59,6 +59,10 @@ class TestConfigParsing:
                      "load_quad_degree", id="load_quad_degree-zero"),
         pytest.param({"p_target": 2.0, "error_quad_degree": 0},
                      "error_quad_degree", id="error_quad_degree-zero"),
+        pytest.param({"p_target": 2.0, "load_quad_degree": 41},
+                     "load_quad_degree", id="load_quad_degree-above-bound"),
+        pytest.param({"p_target": 2.0, "error_quad_degree": 400},
+                     "error_quad_degree", id="error_quad_degree-above-bound"),
         pytest.param({"p_target": 2.0, "solver": {"linear_method": "minres"}},
                      "linear_method", id="solver-linear_method"),
         pytest.param({"p_target": 2.0, "solver": {"damping_enabled": False}},

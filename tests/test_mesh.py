@@ -197,6 +197,37 @@ class TestExports:
         assert text.startswith("<svg")
         assert text.count("<line") == m.n_edges
 
+    def test_svg_bytes_match_per_edge_formula(self, tmp_path):
+        # graded towards the origin, so the coordinates are not on a grid
+        m = unit_square_mesh(4)
+        for _ in range(6):
+            centroids = m.vertices[m.triangles].mean(axis=1)
+            m = refine_marked(m, np.flatnonzero(
+                np.hypot(*centroids.T) < 0.3))
+        size = 640
+        lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
+        span = max(float((hi - lo).max()), 1e-30)
+        pad = 0.02 * span
+        scale = size / (span + 2 * pad)
+        lines = []
+        for a, b in m.edges:
+            (x1, y1), (x2, y2) = m.vertices[a], m.vertices[b]
+            lines.append(
+                f'<line x1="{(x1 - lo[0] + pad) * scale:.2f}" '
+                f'y1="{size - (y1 - lo[1] + pad) * scale:.2f}" '
+                f'x2="{(x2 - lo[0] + pad) * scale:.2f}" '
+                f'y2="{size - (y2 - lo[1] + pad) * scale:.2f}"/>')
+        expected = ("\n".join(
+            [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">',
+             '<g stroke="#1a1a1a" stroke-width="0.8" '
+             'fill="none" stroke-linecap="round">', *lines, "</g></svg>"])
+            + "\n").encode("utf-8")
+        path = tmp_path / "mesh.svg"
+        export_svg(m, path)
+        assert m.n_triangles > 200
+        assert path.read_bytes() == expected
+
     def test_vtk_roundtrip_counts(self, tmp_path):
         m = unit_square_mesh(3)
         path = tmp_path / "mesh.vtk"

@@ -1,6 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
+import plapminres
+from plapminres.driver import MAX_QUAD_DEGREE
 from plapminres.mesh import refine_uniform, unit_square_mesh
 from plapminres.spaces import (
     CR,
@@ -9,6 +16,7 @@ from plapminres.spaces import (
     all_element_gradients,
     broken_seminorm,
     build_space,
+    gauss_jacobi_1_0,
     geometry_of,
     triangle_rule,
 )
@@ -45,6 +53,39 @@ class TestBuildSpace:
         dm = build_space(unit_square_mesh(3), CR)
         both = np.concatenate([dm.free_dofs, dm.constrained_dofs])
         assert np.array_equal(np.sort(both), np.arange(dm.n_total))
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("n", range(1, MAX_QUAD_DEGREE // 2 + 2))
+    def test_matches_scipy(self, n):
+        # every rule size a configurable quadrature degree can ask for
+        nodes, weights = gauss_jacobi_1_0(n)
+        ref_nodes, ref_weights = roots_jacobi(n, 1.0, 0.0)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0.0, atol=1e-13)
+
+    def test_one_point_closed_form(self):
+        # int (1 - x) dx = 2 and int x (1 - x) dx = -2/3 on [-1, 1]
+        nodes, weights = gauss_jacobi_1_0(1)
+        assert nodes.shape == weights.shape == (1,)
+        assert abs(nodes[0] + 1.0 / 3.0) <= 1e-15
+        assert abs(weights[0] - 2.0) <= 1e-15
+
+    def test_study_does_not_load_scipy_special(self):
+        script = (
+            "import sys\n"
+            "from plapminres.cli import config_from_dict\n"
+            "from plapminres.driver import run_study\n"
+            "records = run_study(config_from_dict("
+            "{'p_target': 2.0, 'max_levels': 1, 'initial_n': 2}))\n"
+            "assert len(records) == 1, records\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('scipy.special')))\n")
+        src = str(Path(plapminres.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], cwd=src,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestQuadRule:
