@@ -137,8 +137,12 @@ def dorfler_mark(masses: np.ndarray, theta: float) -> np.ndarray:
     """Smallest set of elements carrying a theta-fraction of the total mass.
 
     Greedy by descending mass with ties broken by the lower element index.
-    Returns sorted element indices; an all-zero mass vector yields an empty
-    marking and a warning.
+    Masses are compared relative to the largest one, rounded to 40
+    significant bits (about 12 significant digits): on a symmetric mesh,
+    mirror-image elements carry masses that are equal only up to
+    round-off, and the tie rule, not their last bits, must decide between
+    them.  Returns sorted element indices; an all-zero mass vector yields
+    an empty marking and a warning.
     """
     masses = np.asarray(masses, dtype=float)
     if not 0.0 < theta <= 1.0:
@@ -150,7 +154,10 @@ def dorfler_mark(masses: np.ndarray, theta: float) -> np.ndarray:
         warnings.warn("all element indicators vanish; nothing to mark",
                       stacklevel=2)
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(-masses, kind="stable")
+    # divided first, so the rounding never sees a subnormal largest mass
+    mantissa, exponent = np.frexp(masses / masses.max())
+    key = np.ldexp(np.round(np.ldexp(mantissa, 40)), exponent - 40)
+    order = np.argsort(-key, kind="stable")
     csum = np.cumsum(masses[order])
     target = theta * total
     k = int(np.searchsorted(csum, target * (1.0 - 1e-13))) + 1

@@ -200,6 +200,23 @@ class TestDorflerMark:
         marked = dorfler_mark(np.ones(4), 0.5)
         assert marked.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("mass", [0.3, 1e-310], ids=["normal", "subnormal"])
+    @pytest.mark.parametrize("heavier", [0, 1], ids=["lower", "upper"])
+    def test_round_off_tie_marks_lower_index(self, mass, heavier):
+        # a mirror pair whose masses differ by one ulp, in either order
+        pair = [mass, mass]
+        pair[heavier] = np.nextafter(mass, 1.0)
+        masses = np.array([mass / 4.0] + pair + [mass / 8.0])
+        assert masses[1] != masses[2]
+        marked = dorfler_mark(masses, 0.3)
+        assert marked.tolist() == [1]
+
+    def test_all_subnormal_masses(self):
+        masses = np.array([3e-320, 1e-321, 3e-320, 5e-324, 0.0])
+        with np.errstate(all="raise"):
+            marked = dorfler_mark(masses, 0.6)
+        assert marked.tolist() == [0, 2]
+
     def test_all_zero_warns_and_returns_empty(self):
         with pytest.warns(UserWarning):
             marked = dorfler_mark(np.zeros(5), 0.5)
