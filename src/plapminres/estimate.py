@@ -9,7 +9,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .forms import NonlinearForms, local_indicators
-from .spaces import DofMap, QuadRule, all_element_gradients, broken_seminorm, geometry_of
+from .spaces import (
+    QUAD_CHUNK,
+    DofMap,
+    QuadRule,
+    all_element_gradients,
+    broken_seminorm,
+    geometry_of,
+)
 
 
 class EstimateError(ValueError):
@@ -122,14 +129,18 @@ def true_error(trial: DofMap, u_coeffs: np.ndarray, exact_gradient,
 
     ``exact_gradient`` maps an (..., 2) point array to gradients of the
     same shape (e.g. :meth:`ExactSolution.gradient`); componentwise
-    p-powers match the trial-space norm convention.
+    p-powers match the trial-space norm convention.  The points are
+    evaluated in blocks of ``QUAD_CHUNK`` triangles.
     """
     geo = geometry_of(trial.mesh)
-    pts = quad.physical_points(geo.tri_coords)  # (nt, nq, 2)
-    g_exact = exact_gradient(pts)
     g_h = all_element_gradients(trial, u_coeffs)
-    diff = np.abs(g_exact - g_h[:, None, :]) ** p
-    per_element = 2.0 * geo.areas * np.einsum("q,tqd->t", quad.weights, diff)
+    per_element = np.empty(geo.areas.size)
+    for start in range(0, geo.areas.size, QUAD_CHUNK):
+        block = slice(start, start + QUAD_CHUNK)
+        pts = quad.physical_points(geo.tri_coords[block])  # (chunk, nq, 2)
+        diff = np.abs(exact_gradient(pts) - g_h[block, None, :]) ** p
+        per_element[block] = 2.0 * geo.areas[block] * np.einsum(
+            "q,tqd->t", quad.weights, diff)
     return float(per_element.sum() ** (1.0 / p))
 
 

@@ -15,6 +15,21 @@ the operator weight uses the Euclidean gradient norm, the duality map is
 the exact gradient of the implemented broken norm, which makes the pairing
 identity <D(r), r> = ||r||^p hold to round-off.
 
+Everything nonlinear lives in a few numbers per element.  Both actions
+return area-weighted element fluxes, which
+:func:`~plapminres.spaces.integrate_flux` turns into a vector over the
+free test functions in one sparse product; a Newton residual sums the two
+fluxes first.  The two Jacobians return element weights, not element
+matrices: the duality-map Hessian is ``area * diag(d_0, d_1)`` and the
+operator Jacobian ``area * A`` with the symmetric 2 x 2 operator tensor
+
+    A = mu (I + (p - 2) g g^T / s^2),
+
+so a Jacobian entry is ``grad(phi_i)^T W grad(psi_j)`` summed over the
+elements.  :mod:`plapminres.linsolve` maps the five weights per element
+into the Newton matrix through a per-mesh values map; no element block
+is formed or scattered.
+
 Jacobian assembly regularizes the degenerate weights with a small epsilon
 so Newton matrices stay finite for 1 < p < 2; the residual evaluations are
 never regularized.
@@ -33,12 +48,14 @@ import numpy as np
 from .spaces import (
     CR,
     P1,
+    QUAD_CHUNK,
     DofMap,
     QuadRule,
     all_element_gradients,
     broken_seminorm,
     element_dofs,
     geometry_of,
+    integrate_flux,
 )
 
 EPS_FLOOR = 1e-10
@@ -104,37 +121,28 @@ class NonlinearForms:
         return self.trial.mesh
 
 
-def _gather_free(dm: DofMap, cell_values: np.ndarray) -> np.ndarray:
-    """Accumulate (nt, 3) per-element contributions into the free DOFs of dm."""
-    full = np.bincount(element_dofs(dm).ravel(), weights=cell_values.ravel(),
-                       minlength=dm.n_total)
-    return full[dm.free_dofs]
-
-
 def apply_plaplacian(forms: NonlinearForms, g_u: np.ndarray) -> np.ndarray:
-    """Action of the broken p-Laplacian on u, tested with free CR functions.
+    """Action of the broken p-Laplacian on u, as the (nt, 2) area-weighted
+    element fluxes ``area * |g|^(p-2) g`` of the element gradients ``g_u``.
 
-    ``g_u`` holds the element gradients of u.  A zero element gradient
-    contributes nothing for any p > 1 (the flux |g|^(p-2) g has magnitude
-    |g|^(p-1) -> 0), so no regularization is needed here.
+    A zero element gradient contributes nothing for any p > 1 (the flux
+    has magnitude |g|^(p-1) -> 0), so no regularization is needed here.
     """
     geo = geometry_of(forms.mesh)
-    s = np.linalg.norm(g_u, axis=1)
+    g0, g1 = g_u.T
+    s = np.sqrt(g0 * g0 + g1 * g1)
     w = np.zeros_like(s)
     nz = s > 0.0
-    w[nz] = s[nz] ** (forms.p - 2.0)
-    flux = geo.areas[:, None] * w[:, None] * g_u
-    cells = np.einsum("td,tid->ti", flux, geo.grad_cr)
-    return _gather_free(forms.test, cells)
+    w[nz] = geo.areas[nz] * s[nz] ** (forms.p - 2.0)
+    return w[:, None] * g_u
 
 
 def apply_duality_map(forms: NonlinearForms, g_r: np.ndarray) -> np.ndarray:
-    """Gradient of (1/p) * ||r||^p in the broken componentwise norm, from
-    the element gradients ``g_r`` of r."""
+    """Gradient of (1/p) * ||r||^p in the broken componentwise norm, as the
+    (nt, 2) area-weighted element fluxes ``area * |g_k|^(p-2) g_k`` of the
+    element gradients ``g_r`` of r."""
     geo = geometry_of(forms.mesh)
-    w = np.sign(g_r) * np.abs(g_r) ** (forms.p - 1.0)
-    cells = np.einsum("t,td,tid->ti", geo.areas, w, geo.grad_cr)
-    return _gather_free(forms.test, cells)
+    return geo.areas[:, None] * (np.sign(g_r) * np.abs(g_r) ** (forms.p - 1.0))
 
 
 def _jacobian_epsilon(forms: NonlinearForms, dm: DofMap, g: np.ndarray) -> float:
@@ -145,75 +153,79 @@ def _jacobian_epsilon(forms: NonlinearForms, dm: DofMap, g: np.ndarray) -> float
 
 def assemble_operator_jacobian(forms: NonlinearForms,
                                g_u: np.ndarray) -> np.ndarray:
-    """Derivative of the p-Laplacian action at u, as (nt, 3, 3) element
-    blocks (local test x local trial DOFs).
+    """Derivative of the p-Laplacian action at u, as the (nt, 3) entries
+    ``(A_00, A_01, A_11)`` of the area-weighted operator tensor
 
-    Entry (i, j) integrates
-        mu_eps(g) * [grad(psi_j) . grad(phi_i)
-                     + (p - 2) (g . grad(psi_j)) (g . grad(phi_i)) / (|g|^2 + eps^2)]
+        area * A = area * mu_eps(g) * (I + (p - 2) g g^T / (|g|^2 + eps^2))
+
     with mu_eps(g) = (|g|^2 + eps^2)^((p-2)/2) and g = ``g_u``, the element
-    gradient of u.  For eps = 0 and nonvanishing gradients this is the
-    exact Gateaux derivative.
+    gradient of u.  The Jacobian entry of test function phi_i and trial
+    function psi_j sums ``area * grad(phi_i)^T A grad(psi_j)`` over the
+    elements.  For eps = 0 and nonvanishing gradients this is the exact
+    Gateaux derivative.
     """
     geo = geometry_of(forms.mesh)
     eps = _jacobian_epsilon(forms, forms.trial, g_u)
-    s2 = (g_u ** 2).sum(axis=1) + eps ** 2
-    mu = s2 ** ((forms.p - 2.0) / 2.0)
-
-    du = np.einsum("td,tjd->tj", g_u, geo.grad_p1)
-    dv = np.einsum("td,tid->ti", g_u, geo.grad_cr)
-    scale = (forms.p - 2.0) * geo.areas / s2
-    rank1 = scale[:, None, None] * dv[:, :, None] * du[:, None, :]
-    return mu[:, None, None] * (geo.cr_p1_products + rank1)
+    g0, g1 = g_u.T
+    s2 = g0 * g0 + g1 * g1 + eps ** 2
+    mu = geo.areas * s2 ** ((forms.p - 2.0) / 2.0)
+    rank1 = (forms.p - 2.0) * mu / s2
+    return np.column_stack([mu + rank1 * g0 * g0, rank1 * g0 * g1,
+                            mu + rank1 * g1 * g1])
 
 
-def apply_jacobian_transpose(forms: NonlinearForms, B_blocks: np.ndarray,
-                             r_coeffs: np.ndarray) -> np.ndarray:
-    """B^T r over the free trial DOFs, from the element blocks of B.
-
-    Only the free entries of ``r_coeffs`` enter.
+def apply_jacobian_transpose(forms: NonlinearForms, B_weights: np.ndarray,
+                             g_r: np.ndarray) -> np.ndarray:
+    """B^T r over the free trial DOFs, from the operator weights
+    ``B_weights`` of :func:`assemble_operator_jacobian` and the element
+    gradients ``g_r`` of an r that vanishes on the constrained test DOFs.
     """
-    test = forms.test
-    r = test.full_from_free(r_coeffs[test.free_dofs])
-    cells = np.einsum("tij,ti->tj", B_blocks, r[element_dofs(test)])
-    return _gather_free(forms.trial, cells)
+    a00, a01, a11 = B_weights.T
+    g0, g1 = g_r.T
+    flux = np.column_stack([a00 * g0 + a01 * g1, a01 * g0 + a11 * g1])
+    return integrate_flux(forms.trial, flux)
 
 
 def assemble_duality_jacobian(forms: NonlinearForms,
                               g_r: np.ndarray) -> np.ndarray:
-    """Hessian of (1/p)*||r||^p, as (nt, 3, 3) test x test element blocks,
-    from the element gradients ``g_r`` of r.
+    """Hessian of (1/p)*||r||^p, as the (nt, 2) area-weighted componentwise
+    weights ``area * d_k``, from the element gradients ``g_r`` of r.
 
-    Componentwise weights (p-1) * (g_k^2 + eps^2)^((p-2)/2) make the matrix
-    positive definite for eps > 0.  Each block weights the two exactly
-    symmetric per-component products of the mesh geometry, so it is exactly
-    symmetric, and so is the assembled matrix.
+    The weights d_k = (p-1) * (g_k^2 + eps^2)^((p-2)/2) are positive for
+    eps > 0, which makes the Hessian positive definite; the entry of test
+    functions phi_i and phi_j sums ``area * sum_k d_k (d_k phi_i)
+    (d_k phi_j)`` over the elements, exactly symmetric in i and j.
     """
     geo = geometry_of(forms.mesh)
     eps = _jacobian_epsilon(forms, forms.test, g_r)
     d = (forms.p - 1.0) * (g_r ** 2 + eps ** 2) ** ((forms.p - 2.0) / 2.0)
-    products = geo.cr_products
-    return (d[:, 0, None, None] * products[0]
-            + d[:, 1, None, None] * products[1])
+    return geo.areas[:, None] * d
 
 
 def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray:
     """Load functional over the free CR test DOFs.
 
-    Integrates f against the CR basis with the given rule; all quadrature
-    points are strictly interior, so a singular radial load is never
-    sampled at its center (checked, raising :class:`FormsError`).
+    Integrates f against the CR basis with the given rule, in blocks of
+    ``QUAD_CHUNK`` triangles so that the point arrays stay small; all
+    quadrature points are strictly interior, so a singular radial load is
+    never sampled at its center (checked, raising :class:`FormsError`).
     """
-    mesh = test_dm.mesh
-    geo = geometry_of(mesh)
-    pts = quad.physical_points(geo.tri_coords)  # (nt, nq, 2)
-    dist = np.linalg.norm(pts - np.asarray(load.x0), axis=-1)
-    if not np.all(dist > 0.0):
-        raise FormsError("a quadrature point coincides with the load center x0")
-    fx = load(pts)
+    geo = geometry_of(test_dm.mesh)
     phi = 1.0 - 2.0 * quad.points  # CR basis at the rule's barycentric points
-    cells = 2.0 * geo.areas[:, None] * ((fx * quad.weights) @ phi)
-    return _gather_free(test_dm, cells)
+    cells = np.empty((geo.areas.size, 3))
+    for start in range(0, geo.areas.size, QUAD_CHUNK):
+        block = slice(start, start + QUAD_CHUNK)
+        pts = quad.physical_points(geo.tri_coords[block])  # (chunk, nq, 2)
+        dist = np.linalg.norm(pts - np.asarray(load.x0), axis=-1)
+        if not np.all(dist > 0.0):
+            raise FormsError("a quadrature point coincides with the load "
+                             "center x0")
+        fx = load(pts)
+        cells[block] = (2.0 * geo.areas[block, None]
+                        * ((fx * quad.weights) @ phi))
+    full = np.bincount(element_dofs(test_dm).ravel(), weights=cells.ravel(),
+                       minlength=test_dm.n_total)
+    return full[test_dm.free_dofs]
 
 
 def local_indicators(forms: NonlinearForms, r_coeffs: np.ndarray) -> np.ndarray:

@@ -7,19 +7,23 @@ in the block system
     [ G   B ] [dr]   [rhs_top   ]
     [ B^T 0 ] [du] = [rhs_bottom].
 
-The sparsity pattern of K = [[G, B], [B^T, 0]] depends on the mesh alone.
-:func:`saddle_pattern` builds it once per mesh as a :class:`SaddlePattern`
-holding the CSC structure of K and the position in ``K.data`` of every
-entry of the (nt, 3, 3) element blocks of G and B; a Newton step then
-fills K with one ``np.bincount``.  G entries that vanish for every
-exponent are left out of the pattern: stored zeros would add fill to the
-factorization.
+The sparsity pattern of K = [[G, B], [B^T, 0]] depends on the mesh alone,
+and so does the way its entries depend on the nonlinearity: every entry
+of K is a fixed linear combination of five element weights per triangle
+(the two componentwise duality weights of G and the three entries of the
+symmetric operator tensor of B, see :mod:`plapminres.forms`).
+:func:`saddle_pattern` builds both once per mesh as a
+:class:`SaddlePattern`: the CSC structure of K and a sparse values map M
+with ``K.data = M @ w``, w holding the five weights of every element.  A
+Newton step fills K with that one sparse product; no element block is
+formed or scattered.  G entries that vanish for every exponent are left
+out of the pattern: stored zeros would add fill to the factorization.
 
 K is factored as a symmetric matrix with no off-diagonal pivoting
 (``diag_pivot_thresh=0``).  Its fill-reducing ordering, SuperLU's minimum
 degree on the pattern of K + K^T, depends on the pattern alone, so it is
 computed once per mesh, by one factorization of K filled with the p = 2
-blocks, and baked into the pattern: K is stored as P K P^T in elimination
+weights, and baked into the pattern: K is stored as P K P^T in elimination
 order, every Newton step factors it in its ``NATURAL`` order, and the
 solution is mapped back to the natural order of the unknowns.  The
 symmetric factorizations run SuperLU's single-column kernel with
@@ -73,88 +77,129 @@ class LinearSolveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SaddlePattern:
-    """Fixed CSC structure of K = [[G, B], [B^T, 0]] on one mesh.
+    """Fixed CSC structure of K = [[G, B], [B^T, 0]] on one mesh, and the
+    map from element weights to its values.
 
     Rows and columns are in elimination order: ``order[i]`` is the
     position of unknown ``i`` (free test DOFs first, then free trial
-    DOFs), so the natural-order K is ``K[order][:, order]``.  ``slots``
-    has one entry per entry of the concatenated element blocks
-    ``[G, B, B]`` (each (nt, 3, 3), the second B standing for B^T): its
-    position in ``K.data``, or the dump slot ``nnz`` for entries on a
-    constrained DOF and for the G entries the pattern drops.
+    DOFs), so the natural-order K is ``K[order][:, order]``.  ``values``
+    (nnz x 5 nt, CSR with sorted column indices) gives ``K.data`` as
+    ``values @ w`` for the element weights ``w`` of both Jacobians, one
+    after the other: the (nt, 2) area-weighted duality weights of G, then
+    the (nt, 3) area-weighted operator tensor entries (A_00, A_01, A_11)
+    of B, each in row-major order.  The rows of an entry
+    of B and of its mirror in B^T are equal, entry by entry and in the
+    same order, so K is exactly symmetric.
     """
 
     n_test: int
     n_trial: int
     indptr: np.ndarray
     indices: np.ndarray
-    slots: np.ndarray
+    values: sp.csr_matrix
     order: np.ndarray
 
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
-
-    def matrix(self, G_blocks: np.ndarray, B_blocks: np.ndarray) -> sp.csc_matrix:
-        """K with the given (nt, 3, 3) element blocks of G and B."""
-        values = np.concatenate([G_blocks.ravel(), B_blocks.ravel(),
-                                 B_blocks.ravel()])
-        data = np.bincount(self.slots, weights=values,
-                           minlength=self.nnz + 1)[:self.nnz]
+    def matrix(self, G_weights: np.ndarray,
+               B_weights: np.ndarray) -> sp.csc_matrix:
+        """K with the given (nt, 2) duality and (nt, 3) operator weights."""
+        data = self.values @ np.concatenate([G_weights.ravel(),
+                                             B_weights.ravel()])
         size = self.n_test + self.n_trial
         return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=(size, size))
 
 
 def _build_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
-    """Pattern of K over the free DOFs of a CR test and a P1 trial space.
+    """Pattern and values map of K over the free DOFs of a CR test and a
+    P1 trial space.
 
-    A G entry integrates sum_k w_k (d_k phi_i)(d_k phi_j) with weights
-    w_k > 0; the entries where both products of derivatives vanish, which
-    happens for every exponent on the legs of axis-aligned right
-    triangles, are dropped.  The elimination order is the ``perm_c`` of
-    one symmetric minimum-degree factorization of K at p = 2, whose blocks
-    are the geometry's own products; SuperLU's ``perm_c[i]`` is the new
-    position of unknown ``i``.  Should that factorization be refused, the
-    COLAMD column order is used instead.
+    On triangle t, the G entry of local test functions i, j weighs
+    ``(d_k phi_i)(d_k phi_j)`` with duality weight k, and the B entry of
+    test function i and trial function j weighs ``grad(phi_i)^T E
+    grad(psi_j)`` with the operator tensor entries, E running over the
+    symmetric unit tensors of A_00, A_01 and A_11.  The G entries where
+    both products vanish, which happens for every exponent on the legs of
+    axis-aligned right triangles, are dropped, and so are zero
+    coefficients of the values map.  The elimination order is the
+    ``perm_c`` of one symmetric minimum-degree factorization of K at
+    p = 2, the values map at the weights ``area * (1, 1)`` and ``area *
+    (1, 0, 1)``; SuperLU's ``perm_c[i]`` is the new position of unknown
+    ``i``.  Should that factorization be refused, the COLAMD column order
+    is used instead.
     """
     rows_t = test._free_index[element_dofs(test)]
     rows_u = trial._free_index[element_dofs(trial)]
     geo = geometry_of(test.mesh)
-    g_live = (geo.cr_products != 0.0).any(axis=0)
+    c = geo.grad_cr[:, :, None, :]   # (nt, 3, 1, 2): test function i
+    q = geo.grad_p1[:, None, :, :]   # (nt, 1, 3, 2): trial function j
+    g_coef = c * c.transpose(0, 2, 1, 3)  # (nt, 3, 3, 2)
+    b_coef = np.stack([c[..., 0] * q[..., 0],
+                       c[..., 0] * q[..., 1] + c[..., 1] * q[..., 0],
+                       c[..., 1] * q[..., 1]], axis=-1)  # (nt, 3, 3, 3)
+    nt = geo.areas.size
     n, m = test.n_free, trial.n_free
+    size = n + m
 
-    shape = g_live.shape
+    shape = g_coef.shape[:3]
     g_rows = np.broadcast_to(rows_t[:, :, None], shape)
     g_cols = np.broadcast_to(rows_t[:, None, :], shape)
     b_cols = np.broadcast_to(n + rows_u[:, None, :], shape)
-    g_keep = (g_rows >= 0) & (g_cols >= 0) & g_live
+    g_keep = (g_rows >= 0) & (g_cols >= 0) & (g_coef != 0.0).any(axis=-1)
     b_keep = (g_rows >= 0) & (b_cols >= n)
     rows = np.concatenate([g_rows.ravel(), g_rows.ravel(), b_cols.ravel()])
     cols = np.concatenate([g_cols.ravel(), b_cols.ravel(), g_rows.ravel()])
     keep = np.concatenate([g_keep.ravel(), b_keep.ravel(), b_keep.ravel()])
-    rows, cols = rows[keep], cols[keep]
-    size = n + m
+    keys, inverse = np.unique(cols[keep] * size + rows[keep],
+                              return_inverse=True)  # column-major order
+    slots = np.full(keep.size, -1, dtype=np.int32)
+    slots[keep] = inverse
+    g_slots, b_slots, bt_slots = slots.reshape(3, nt, 3, 3)
+    del rows, cols, keep, inverse  # transients: keep the peak memory low
 
-    values = np.concatenate([geo.cr_products.sum(axis=0).ravel(),
-                             geo.cr_p1_products.ravel(),
-                             geo.cr_p1_products.ravel()])
-    K2 = sp.csc_matrix((values[keep], (rows, cols)), shape=(size, size))
+    # values map as triplets: one per element entry and nonzero
+    # coefficient, element by element, so each row sums in column order
+    t = np.arange(nt, dtype=np.int32)[:, None, None, None]
+    parts = [(g_slots, 2 * t + np.arange(2, dtype=np.int32), g_coef)]
+    parts += [(slot, 2 * nt + 3 * t + np.arange(3, dtype=np.int32), b_coef)
+              for slot in (b_slots, bt_slots)]
+    triplets = []
+    for slot, col, coef in parts:
+        live = (slot[..., None] >= 0) & (coef != 0.0)
+        triplets.append((coef[live],
+                         np.broadcast_to(slot[..., None], coef.shape)[live],
+                         np.broadcast_to(col, coef.shape)[live]))
+    data, map_rows, map_cols = map(np.concatenate, zip(*triplets))
+    del parts, triplets, g_coef, b_coef
+    values = sp.coo_matrix((data, (map_rows, map_cols)),
+                           shape=(keys.size, 5 * nt))
+
+    p2_weights = np.concatenate([np.repeat(geo.areas, 2), (
+        geo.areas[:, None] * np.array([1.0, 0.0, 1.0])).ravel()])
+    K2 = sp.csc_matrix((values @ p2_weights, keys % size,
+                        np.searchsorted(keys // size, np.arange(size + 1))),
+                       shape=(size, size))
     try:
         lu = spla.splu(K2, **_ORDERING_LU)
     except RuntimeError:  # a zero pivot of the static pivoting
         lu = spla.splu(K2, **_GENERAL_LU)
     order = np.array(lu.perm_c, dtype=np.int64)
 
-    keys, inverse = np.unique(order[cols] * size + order[rows],
-                              return_inverse=True)  # column-major order
-    slots = np.full(keep.size, keys.size)
-    slots[keep] = inverse
+    # the same entries in the column-major order of P K P^T
+    keys = order[keys // size] * size + order[keys % size]
+    moved = np.argsort(keys)
+    keys = keys[moved]
+    position = np.empty(keys.size, dtype=np.int32)
+    position[moved] = np.arange(keys.size, dtype=np.int32)
+    values.row = position[values.row]
+    values = values.tocsr()
+    values.sort_indices()
     indptr = np.searchsorted(keys // size, np.arange(size + 1))
-    arrays = (indptr, keys % size, slots, order)
+    # 32-bit, as SuperLU takes them: csc_matrix then keeps them uncopied
+    arrays = (indptr.astype(np.int32), (keys % size).astype(np.int32),
+              order, values.data, values.indices, values.indptr)
     for arr in arrays:
         arr.setflags(write=False)
-    return SaddlePattern(n, m, *arrays)
+    return SaddlePattern(n, m, arrays[0], arrays[1], values, order)
 
 
 _PATTERN_CACHE: "weakref.WeakKeyDictionary[Mesh, SaddlePattern]" = weakref.WeakKeyDictionary()
@@ -191,27 +236,29 @@ class SaddleSystem:
     order: np.ndarray
 
 
-def assemble_saddle(test: DofMap, trial: DofMap, G_blocks, B_blocks,
+def assemble_saddle(test: DofMap, trial: DofMap, G_weights, B_weights,
                     rhs_top, rhs_bottom) -> SaddleSystem:
     """Assemble K = [[G, B], [B^T, 0]] over the free DOFs of both spaces.
 
-    ``G_blocks`` (test x test, symmetric) and ``B_blocks`` (test x trial)
-    are (nt, 3, 3) element blocks in the local DOF order of
-    :func:`~plapminres.spaces.element_dofs`.
+    ``G_weights`` (nt, 2) are the area-weighted componentwise weights of
+    the duality-map Hessian and ``B_weights`` (nt, 3) the area-weighted
+    operator tensor entries (A_00, A_01, A_11) of the operator Jacobian,
+    as returned by :mod:`plapminres.forms`.
     """
-    shape = (test.mesh.n_triangles, 3, 3)
-    G_blocks = np.asarray(G_blocks, dtype=float)
-    B_blocks = np.asarray(B_blocks, dtype=float)
+    nt = test.mesh.n_triangles
+    G_weights = np.asarray(G_weights, dtype=float)
+    B_weights = np.asarray(B_weights, dtype=float)
     rhs_top = np.asarray(rhs_top, dtype=float)
     rhs_bottom = np.asarray(rhs_bottom, dtype=float)
-    if G_blocks.shape != shape or B_blocks.shape != shape:
-        raise ValueError(f"element blocks must have shape {shape}")
+    if G_weights.shape != (nt, 2) or B_weights.shape != (nt, 3):
+        raise ValueError(f"element weights must have shapes ({nt}, 2) and "
+                         f"({nt}, 3)")
     pattern = saddle_pattern(test, trial)
     if rhs_top.shape != (pattern.n_test,) or rhs_bottom.shape != (pattern.n_trial,):
         raise ValueError("right-hand side blocks do not match the free DOFs")
     rhs = np.empty(pattern.n_test + pattern.n_trial)
     rhs[pattern.order] = np.concatenate([rhs_top, rhs_bottom])
-    return SaddleSystem(pattern.matrix(G_blocks, B_blocks), rhs,
+    return SaddleSystem(pattern.matrix(G_weights, B_weights), rhs,
                         pattern.n_test, pattern.order)
 
 

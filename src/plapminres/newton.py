@@ -8,7 +8,10 @@ the current iterate ``(r, u)`` and solves the symmetric saddle system
     [ B^T 0 ] [du] = [ -B^T r          ]
 
 where ``G`` is the duality-map Hessian, ``B`` the operator Jacobian, ``D``
-the duality-map action and ``N`` the p-Laplacian action.  Updates are
+the duality-map action and ``N`` the p-Laplacian action.  Both Jacobians
+and both actions come from the element gradients of the iterate, as a few
+element weights and fluxes per triangle (see :mod:`plapminres.forms`), so
+a line-search trial forms no element matrix.  Updates are
 damped by a backtracking line search on the Euclidean norm of the
 concatenated nonlinear residual: the step is halved until that norm does
 not increase.  If it still increases after the maximum number of
@@ -47,7 +50,7 @@ from .forms import (
     assemble_operator_jacobian,
 )
 from .linsolve import LinearSolveError, assemble_saddle, solve_symmetric_indefinite
-from .spaces import all_element_gradients, broken_seminorm
+from .spaces import all_element_gradients, broken_seminorm, integrate_flux
 
 
 class ContinuationError(RuntimeError):
@@ -167,7 +170,7 @@ class IterationLog:
 class Residual(NamedTuple):
     """Residual blocks at an iterate (u, r) over the free test and trial
     DOFs, their norm, and what the next Newton matrix needs there: the
-    operator Jacobian's element blocks ``B`` and r's element gradients."""
+    operator Jacobian's element weights ``B`` and r's element gradients."""
 
     top: np.ndarray
     bottom: np.ndarray
@@ -179,13 +182,14 @@ class Residual(NamedTuple):
 def nonlinear_residual(forms: NonlinearForms, state: DiscreteState) -> Residual:
     """Residual of the mixed system at the given state; both blocks vanish
     at an exact discrete solution.  Every form takes the element gradients
-    of u and r computed here once."""
+    of u and r computed here once, and the two actions of the top block
+    are tested together, from the sum of their element fluxes."""
     g_u = all_element_gradients(forms.trial, state.u)
     g_r = all_element_gradients(forms.test, state.r)
     B = assemble_operator_jacobian(forms, g_u)
-    top = (forms.load_free - apply_duality_map(forms, g_r)
-           - apply_plaplacian(forms, g_u))
-    bottom = -apply_jacobian_transpose(forms, B, state.r)
+    flux = apply_duality_map(forms, g_r) + apply_plaplacian(forms, g_u)
+    top = forms.load_free - integrate_flux(forms.test, flux)
+    bottom = -apply_jacobian_transpose(forms, B, g_r)
     return Residual(top, bottom, float(np.sqrt(top @ top + bottom @ bottom)),
                     B, g_r)
 

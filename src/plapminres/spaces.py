@@ -16,6 +16,14 @@ Coefficient vectors are always "full" (one entry per DOF, constrained
 entries included); :class:`DofMap` converts between full vectors and the
 free subvector seen by solvers.  :func:`broken_seminorm` and the per-trial
 forms take the (nt, 2) element gradients of :func:`all_element_gradients`.
+
+Both spaces are piecewise linear, so a function enters every form through
+its constant element gradients alone.  Each :class:`DofMap` carries two
+sparse maps built once with the space: ``gradient_map`` takes a full
+coefficient vector to the element gradients, and ``flux_map``, its
+transpose restricted to the free DOFs, takes (area-weighted) element
+fluxes to the functional ``v -> sum_T flux_T . grad v_T`` over the free
+basis (:func:`integrate_flux`).
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .mesh import Mesh, signed_areas
@@ -39,6 +48,11 @@ class SpaceError(ValueError):
 
 # ---------------------------------------------------------------------------
 # quadrature on the reference triangle {x, y >= 0, x + y <= 1}
+
+
+# triangles per block of quadrature-point evaluation: the (chunk, nq, 2)
+# point arrays of a degree-10 rule stay near 150 KB on any mesh
+QUAD_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,19 +125,12 @@ class ElementGeometry:
     local vertex ``i`` on triangle ``t``; the CR basis function attached to
     the edge opposite vertex ``i`` is ``1 - 2*lambda_i``, so its gradient
     is ``-2 * grad_p1[t, i]``.
-
-    The Newton matrices weight two mesh-only products of these gradients:
-    ``cr_products[k, t, i, j] = area * d_k phi_i * d_k phi_j`` for the CR
-    basis (exactly symmetric in ``i, j``) and ``cr_p1_products[t, i, j] =
-    area * grad phi_i . grad psi_j`` with the P1 basis ``psi``.
     """
 
     areas: np.ndarray           # (nt,)
     grad_p1: np.ndarray         # (nt, 3, 2)
     grad_cr: np.ndarray         # (nt, 3, 2)
     tri_coords: np.ndarray      # (nt, 3, 2)
-    cr_products: np.ndarray     # (2, nt, 3, 3)
-    cr_p1_products: np.ndarray  # (nt, 3, 3)
 
     @classmethod
     def from_mesh(cls, m: Mesh) -> "ElementGeometry":
@@ -138,12 +145,7 @@ class ElementGeometry:
         rot[..., 1] = e[..., 0]
         grad_p1 = rot / (2.0 * areas)[:, None, None]
         grad_cr = -2.0 * grad_p1
-        cr_k = grad_cr.transpose(2, 0, 1)  # (2, nt, 3)
-        cr_products = areas[:, None, None] * (cr_k[..., :, None]
-                                              * cr_k[..., None, :])
-        cr_p1_products = areas[:, None, None] * np.einsum(
-            "tid,tjd->tij", grad_cr, grad_p1)
-        arrays = (areas, grad_p1, grad_cr, coords, cr_products, cr_p1_products)
+        arrays = (areas, grad_p1, grad_cr, coords)
         for arr in arrays:
             arr.setflags(write=False)
         return cls(*arrays)
@@ -155,10 +157,15 @@ class ElementGeometry:
 
 @dataclass(frozen=True, eq=False)
 class DofMap:
-    """Enumeration of free and constrained DOFs of one space on one mesh.
+    """Enumeration of free and constrained DOFs of one space on one mesh,
+    with the space's sparse gradient maps.
 
     It holds no values: constrained CR DOFs are zero, and the Dirichlet
     values of the constrained P1 DOFs belong to the exponent's forms.
+    ``gradient_map`` (2 nt x n_total, CSR) takes a full coefficient vector
+    to the element gradients, row ``2 t + d`` holding component ``d`` on
+    triangle ``t``; ``flux_map`` (n_free x 2 nt, CSR) is its transpose
+    restricted to the free DOFs.
     """
 
     kind: str
@@ -167,6 +174,8 @@ class DofMap:
     free_dofs: np.ndarray
     constrained_dofs: np.ndarray
     _free_index: np.ndarray  # full index -> position in free vector, -1 if constrained
+    gradient_map: sp.csr_matrix
+    flux_map: sp.csr_matrix
 
     @property
     def n_free(self) -> int:
@@ -184,7 +193,8 @@ def build_space(m: Mesh, kind: str) -> DofMap:
 
     P1 constrains the boundary vertices and CR the boundary edges; the map
     depends on the mesh alone, so one pair of spaces serves every exponent
-    on that mesh.
+    on that mesh.  Both gradient maps are laid out directly from the
+    element DOFs, three entries per row of ``gradient_map``.
 
     Raises
     ------
@@ -205,9 +215,29 @@ def build_space(m: Mesh, kind: str) -> DofMap:
     free = np.nonzero(mask)[0]
     free_index = np.full(n_total, -1, dtype=np.int64)
     free_index[free] = np.arange(free.size)
+
+    geo = geometry_of(m)
+    basis = geo.grad_p1 if kind == P1 else geo.grad_cr
+    rows = 2 * m.n_triangles
+    # row 2t + d holds d_d of the three local basis functions of triangle t
+    data = basis.transpose(0, 2, 1).reshape(rows, 3)
+    cols = np.repeat(_element_dofs(m, kind), 2, axis=0)
+    gradient_map = sp.csr_matrix(
+        (data.ravel(), cols.ravel(), np.arange(0, 3 * rows + 1, 3)),
+        shape=(rows, n_total))
+    cols = free_index[cols]
+    live = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
+    flux_map = sp.csr_matrix((data[live], cols[live], indptr),
+                             shape=(rows, free.size)).T.tocsr()
     for arr in (free, constrained, free_index):
         arr.setflags(write=False)
-    return DofMap(kind, m, n_total, free, constrained, free_index)
+    return DofMap(kind, m, n_total, free, constrained, free_index,
+                  gradient_map, flux_map)
+
+
+def _element_dofs(m: Mesh, kind: str) -> np.ndarray:
+    return m.triangles if kind == P1 else m.triangle_edges
 
 
 def element_dofs(dm: DofMap) -> np.ndarray:
@@ -217,17 +247,18 @@ def element_dofs(dm: DofMap) -> np.ndarray:
     midpoint function of the edge opposite vertex ``i`` for CR, matching
     the gradient layout of :class:`ElementGeometry`.
     """
-    if dm.kind == P1:
-        return dm.mesh.triangles
-    return dm.mesh.triangle_edges
+    return _element_dofs(dm.mesh, dm.kind)
 
 
 def all_element_gradients(dm: DofMap, coeffs: np.ndarray) -> np.ndarray:
     """Gradients of the discrete function on every triangle, shape (nt, 2)."""
-    geo = geometry_of(dm.mesh)
-    local = np.asarray(coeffs)[element_dofs(dm)]
-    basis = geo.grad_p1 if dm.kind == P1 else geo.grad_cr
-    return np.einsum("ti,tid->td", local, basis)
+    return (dm.gradient_map @ coeffs).reshape(-1, 2)
+
+
+def integrate_flux(dm: DofMap, flux: np.ndarray) -> np.ndarray:
+    """The functional ``v -> sum_T flux_T . grad v_T`` on the free basis of
+    dm, for (nt, 2) element fluxes that already carry the element areas."""
+    return dm.flux_map @ flux.ravel()
 
 
 _GEOMETRY_CACHE: "weakref.WeakKeyDictionary[Mesh, ElementGeometry]" = weakref.WeakKeyDictionary()
@@ -252,5 +283,5 @@ def broken_seminorm(dm: DofMap, g: np.ndarray, p: float) -> float:
     if p <= 1.0:
         raise SpaceError("broken seminorm requires p > 1")
     geo = geometry_of(dm.mesh)
-    mass = geo.areas @ (np.abs(g) ** p).sum(axis=1)
-    return float(mass ** (1.0 / p))
+    a0, a1 = (np.abs(g) ** p).T
+    return float((geo.areas @ (a0 + a1)) ** (1.0 / p))

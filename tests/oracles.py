@@ -4,11 +4,12 @@ The oracles deliberately avoid the code paths they are meant to check:
 polygon integrals go through the divergence theorem and 1D Gauss rules,
 the Poisson reference solve assembles the standard P1 Galerkin system
 from scratch, the saddle-point reference uses a dense LAPACK
-factorization, and the reference saddle matrix is assembled through COO,
-CSR and ``sp.bmat`` instead of the per-mesh pattern.  The interpolation
-helpers build discrete functions for the tests, and the mesh checks
-(:func:`check_mesh`, :func:`min_angle`) test the invariants of refined
-meshes.
+factorization, the reference saddle matrix is assembled from element
+blocks through COO, CSR and ``sp.bmat`` instead of the per-mesh pattern
+and values map, and :func:`block_residual` recomputes the Newton residual
+from element blocks.  The interpolation helpers build discrete functions
+for the tests, and the mesh checks (:func:`check_mesh`,
+:func:`min_angle`) test the invariants of refined meshes.
 """
 
 import numpy as np
@@ -149,40 +150,122 @@ def scatter_matrix(blocks, row_dm, col_dm) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def reference_saddle_matrix(G_blocks, B_blocks, test, trial) -> sp.csc_matrix:
-    """K = [[G, B], [B^T, 0]] assembled through COO, CSR and ``sp.bmat``.
+def weight_matrix(weights, row_dm, col_dm) -> sp.csr_matrix:
+    """Free x free matrix of element weights, scattered from element blocks.
+
+    Entry (i, j) sums ``grad(phi_i)^T W_T grad(psi_j)`` over the triangles,
+    with W_T = diag(w) for (nt, 2) componentwise weights and the symmetric
+    tensor (W_00, W_01, W_11) for (nt, 3) weights; phi runs over the basis
+    of ``row_dm`` and psi over that of ``col_dm``.  Componentwise blocks
+    weight the products ``(d_k phi_i)(d_k phi_j)``, so they are exactly
+    symmetric when both spaces are the same.
+    """
+    from plapminres.spaces import P1, geometry_of
+
+    geo = geometry_of(row_dm.mesh)
+    rg, cg = ((geo.grad_p1 if dm.kind == P1 else geo.grad_cr)
+              for dm in (row_dm, col_dm))
+    weights = np.asarray(weights)
+    if weights.shape[1] == 2:
+        products = rg[:, :, None, :] * cg[:, None, :, :]
+        blocks = (weights[:, None, None, :] * products).sum(axis=-1)
+    else:
+        a, b, c = weights.T
+        tensor = np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], 1)
+        blocks = np.einsum("tid,tde,tje->tij", rg, tensor, cg)
+    return scatter_matrix(blocks, row_dm, col_dm)
+
+
+def reference_saddle_matrix(G_weights, B_weights, test, trial) -> sp.csc_matrix:
+    """K = [[G, B], [B^T, 0]] of element weights, assembled through element
+    blocks, COO, CSR and ``sp.bmat``.
 
     ``(G + G^T) / 2`` drops the G entries that sum to zero, as the
     per-mesh pattern must.
     """
-    G = scatter_matrix(G_blocks, test, test)
+    G = weight_matrix(G_weights, test, test)
     G = (G + G.T) * 0.5
-    B = scatter_matrix(B_blocks, test, trial)
+    B = weight_matrix(B_weights, test, trial)
     return sp.bmat([[G, B], [B.T, None]], format="csc")
 
 
 def operator_jacobian_matrix(forms, u_coeffs) -> sp.csr_matrix:
-    """Free test x free trial operator Jacobian, scattered from its blocks."""
+    """Free test x free trial operator Jacobian, from its element weights."""
     from plapminres.forms import assemble_operator_jacobian
     from plapminres.spaces import all_element_gradients
 
     g_u = all_element_gradients(forms.trial, u_coeffs)
-    return scatter_matrix(assemble_operator_jacobian(forms, g_u),
-                          forms.test, forms.trial)
+    return weight_matrix(assemble_operator_jacobian(forms, g_u),
+                         forms.test, forms.trial)
 
 
 def duality_jacobian_matrix(forms, r_coeffs) -> sp.csr_matrix:
-    """Free test x free test duality-map Hessian, scattered from its blocks.
+    """Free test x free test duality-map Hessian, from its element weights.
 
-    Not symmetrized here: symmetric element blocks scatter into an exactly
+    Not symmetrized here: componentwise blocks scatter into an exactly
     symmetric matrix.
     """
     from plapminres.forms import assemble_duality_jacobian
     from plapminres.spaces import all_element_gradients
 
     g_r = all_element_gradients(forms.test, r_coeffs)
-    return scatter_matrix(assemble_duality_jacobian(forms, g_r),
-                          forms.test, forms.test)
+    return weight_matrix(assemble_duality_jacobian(forms, g_r),
+                         forms.test, forms.test)
+
+
+def action(apply, forms, g) -> np.ndarray:
+    """Vector over the free test DOFs of the action ``apply(forms, g)``,
+    which the forms return as area-weighted element fluxes."""
+    from plapminres.spaces import integrate_flux
+
+    return integrate_flux(forms.test, apply(forms, g))
+
+
+def block_residual(forms, state):
+    """Residual blocks of the mixed system through element blocks.
+
+    Every action is tested element by element (flux . grad phi_i per
+    local test function), the operator Jacobian is formed as (nt, 3, 3)
+    blocks from the Jacobian's textbook formula, and all of it is gathered
+    with ``np.bincount``: the assembly route the weight maps replaced.
+    Returns ``(top, bottom, top_scale, bottom_scale)``, a scale being the
+    largest magnitude of the terms that make up the block.
+    """
+    from plapminres.forms import EPS_FLOOR
+    from plapminres.spaces import P1, broken_seminorm, element_dofs, geometry_of
+
+    test, trial, p = forms.test, forms.trial, forms.p
+    geo = geometry_of(forms.mesh)
+
+    def gather(dm, cells):
+        full = np.bincount(element_dofs(dm).ravel(), weights=cells.ravel(),
+                           minlength=dm.n_total)
+        return full[dm.free_dofs]
+
+    def gradients(dm, coeffs):
+        basis = geo.grad_p1 if dm.kind == P1 else geo.grad_cr
+        return np.einsum("ti,tid->td", coeffs[element_dofs(dm)], basis)
+
+    g_u = gradients(trial, state.u)
+    g_r = gradients(test, state.r)
+    s = np.linalg.norm(g_u, axis=1)
+    w = np.where(s > 0.0, s, 1.0) ** (p - 2.0) * (s > 0.0)
+    N = gather(test, np.einsum("t,td,tid->ti", geo.areas * w, g_u, geo.grad_cr))
+    D = gather(test, np.einsum("t,td,tid->ti", geo.areas,
+                               np.sign(g_r) * np.abs(g_r) ** (p - 1.0),
+                               geo.grad_cr))
+    eps = max(EPS_FLOOR, EPS_FLOOR * broken_seminorm(trial, g_u, p))
+    s2 = (g_u ** 2).sum(axis=1) + eps ** 2
+    du = np.einsum("td,tjd->tj", g_u, geo.grad_p1)
+    dv = np.einsum("td,tid->ti", g_u, geo.grad_cr)
+    B = (s2 ** ((p - 2.0) / 2.0) * geo.areas)[:, None, None] * (
+        np.einsum("tid,tjd->tij", geo.grad_cr, geo.grad_p1)
+        + ((p - 2.0) / s2)[:, None, None] * dv[:, :, None] * du[:, None, :])
+    r = test.full_from_free(state.r[test.free_dofs])
+    Btr = gather(trial, np.einsum("tij,ti->tj", B, r[element_dofs(test)]))
+    top_scale = max(np.abs(forms.load_free).max(), np.abs(D).max(),
+                    np.abs(N).max())
+    return forms.load_free - D - N, -Btr, top_scale, np.abs(Btr).max()
 
 
 def cr_interpolate(m, edge_mean_evaluator) -> np.ndarray:

@@ -17,9 +17,11 @@ from plapminres.mesh import refine_uniform, unit_square_mesh
 from plapminres.spaces import (
     CR,
     P1,
+    QUAD_CHUNK,
     all_element_gradients,
     broken_seminorm,
     build_space,
+    geometry_of,
     triangle_rule,
 )
 from tests.oracles import p1_interpolate, radial_seminorm_p
@@ -155,6 +157,22 @@ class TestTrueError:
 
         err = true_error(trial, u, own_gradient, triangle_rule(10), 2.5)
         assert err <= 1e-13
+
+    def test_chunks_equal_unchunked_formula(self):
+        es = ExactSolution(1.5, 0.97, (0.0, 0.0))
+        mesh = unit_square_mesh(16)
+        assert mesh.n_triangles > QUAD_CHUNK
+        trial = build_space(mesh, P1)
+        u = es.value(mesh.vertices)
+        quad = triangle_rule(10)
+        geo = geometry_of(mesh)
+        g_exact = es.gradient(quad.physical_points(geo.tri_coords))
+        g_h = all_element_gradients(trial, u)
+        diff = np.abs(g_exact - g_h[:, None, :]) ** 1.5
+        per_element = 2.0 * geo.areas * np.einsum("q,tqd->t", quad.weights,
+                                                  diff)
+        want = float(per_element.sum() ** (1.0 / 1.5))
+        assert true_error(trial, u, es.gradient, quad, 1.5) == want
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_zero_function_error_matches_radial_oracle(self, p):

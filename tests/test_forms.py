@@ -14,6 +14,7 @@ from plapminres.mesh import unit_square_mesh
 from plapminres.spaces import (
     CR,
     P1,
+    QUAD_CHUNK,
     all_element_gradients,
     broken_seminorm,
     build_space,
@@ -21,6 +22,7 @@ from plapminres.spaces import (
     triangle_rule,
 )
 from tests.oracles import (
+    action,
     duality_jacobian_matrix,
     embed_p1_in_cr,
     operator_jacobian_matrix,
@@ -84,14 +86,14 @@ class TestApplyOperator:
         for p in (1.4, 2.0, 3.3):
             forms = make_forms(unit_square_mesh(2), p)
             u = np.zeros(forms.trial.n_total)
-            out = apply_plaplacian(forms, all_element_gradients(forms.trial, u))
+            out = action(apply_plaplacian, forms, all_element_gradients(forms.trial, u))
             assert np.array_equal(out, np.zeros(forms.test.n_free))
 
     def test_p2_matches_stiffness_oracle(self):
         rng = np.random.default_rng(0)
         forms = make_forms(unit_square_mesh(3), 2.0)
         u = rng.standard_normal(forms.trial.n_total)
-        got = apply_plaplacian(forms, all_element_gradients(forms.trial, u))
+        got = action(apply_plaplacian, forms, all_element_gradients(forms.trial, u))
         want = stiffness_action_oracle(forms, u, "trial")
         assert np.abs(got - want).max() < 1e-13
 
@@ -100,10 +102,10 @@ class TestApplyOperator:
         forms = make_forms(unit_square_mesh(3), 3.0)
         u = rng.standard_normal(forms.trial.n_total)
         lam = 2.0
-        left = apply_plaplacian(forms,
-                                all_element_gradients(forms.trial, lam * u))
-        right = lam * abs(lam) ** (forms.p - 2.0) * apply_plaplacian(
-            forms, all_element_gradients(forms.trial, u))
+        left = action(apply_plaplacian, forms,
+                      all_element_gradients(forms.trial, lam * u))
+        right = lam * abs(lam) ** (forms.p - 2.0) * action(
+            apply_plaplacian, forms, all_element_gradients(forms.trial, u))
         assert np.abs(left - right).max() <= 1e-12 * np.abs(right).max()
 
 
@@ -111,7 +113,7 @@ class TestApplyDualityMap:
     def test_zero_input(self):
         forms = make_forms(unit_square_mesh(2), 1.5)
         g = all_element_gradients(forms.test, np.zeros(forms.test.n_total))
-        out = apply_duality_map(forms, g)
+        out = action(apply_duality_map, forms, g)
         assert np.array_equal(out, np.zeros(forms.test.n_free))
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -121,7 +123,7 @@ class TestApplyDualityMap:
         r = np.zeros(forms.test.n_total)
         r[forms.test.free_dofs] = rng.standard_normal(forms.test.n_free)
         g = all_element_gradients(forms.test, r)
-        pairing = float(apply_duality_map(forms, g) @ r[forms.test.free_dofs])
+        pairing = float(action(apply_duality_map, forms, g) @ r[forms.test.free_dofs])
         norm_p = broken_seminorm(forms.test, g, p) ** p
         assert pairing == pytest.approx(norm_p, rel=1e-11)
 
@@ -130,7 +132,7 @@ class TestApplyDualityMap:
         forms = make_forms(unit_square_mesh(3), 2.0)
         r = np.zeros(forms.test.n_total)
         r[forms.test.free_dofs] = rng.standard_normal(forms.test.n_free)
-        got = apply_duality_map(forms, all_element_gradients(forms.test, r))
+        got = action(apply_duality_map, forms, all_element_gradients(forms.test, r))
         want = stiffness_action_oracle(forms, r, "test")
         assert np.abs(got - want).max() < 1e-13
 
@@ -139,10 +141,10 @@ class TestApplyDualityMap:
         forms = make_forms(unit_square_mesh(2), 1.7)
         r = rng.standard_normal(forms.test.n_total)
         lam = -1.75
-        left = apply_duality_map(forms,
-                                 all_element_gradients(forms.test, lam * r))
-        right = lam * abs(lam) ** (forms.p - 2.0) * apply_duality_map(
-            forms, all_element_gradients(forms.test, r))
+        left = action(apply_duality_map, forms,
+                      all_element_gradients(forms.test, lam * r))
+        right = lam * abs(lam) ** (forms.p - 2.0) * action(
+            apply_duality_map, forms, all_element_gradients(forms.test, r))
         assert np.abs(left - right).max() <= 1e-12 * np.abs(right).max()
 
 
@@ -169,7 +171,7 @@ class TestOperatorJacobian:
         B = operator_jacobian_matrix(forms, np.zeros(forms.trial.n_total))
         u = np.zeros(forms.trial.n_total)
         u[forms.trial.free_dofs] = rng.standard_normal(forms.trial.n_free)
-        Nu = apply_plaplacian(forms, all_element_gradients(forms.trial, u))
+        Nu = action(apply_plaplacian, forms, all_element_gradients(forms.trial, u))
         assert np.abs(B @ u[forms.trial.free_dofs] - Nu).max() < 1e-13
 
     def test_centered_difference_check(self):
@@ -183,8 +185,8 @@ class TestOperatorJacobian:
         up[forms.trial.free_dofs] += h * delta
         um = u.copy()
         um[forms.trial.free_dofs] -= h * delta
-        fd = (apply_plaplacian(forms, all_element_gradients(forms.trial, up))
-              - apply_plaplacian(forms, all_element_gradients(forms.trial, um))
+        fd = (action(apply_plaplacian, forms, all_element_gradients(forms.trial, up))
+              - action(apply_plaplacian, forms, all_element_gradients(forms.trial, um))
               ) / (2 * h)
         Bd = B @ delta
         assert np.linalg.norm(fd - Bd) <= 1e-6 * np.linalg.norm(Bd)
@@ -216,7 +218,7 @@ class TestDualityJacobian:
         G = duality_jacobian_matrix(forms, rng.standard_normal(forms.test.n_total))
         r = np.zeros(forms.test.n_total)
         r[forms.test.free_dofs] = rng.standard_normal(forms.test.n_free)
-        Dr = apply_duality_map(forms, all_element_gradients(forms.test, r))
+        Dr = action(apply_duality_map, forms, all_element_gradients(forms.test, r))
         assert np.abs(G @ r[forms.test.free_dofs] - Dr).max() < 1e-13
 
     def test_exact_symmetry(self):
@@ -238,8 +240,8 @@ class TestDualityJacobian:
         rp[forms.test.free_dofs] += h * delta
         rm = r.copy()
         rm[forms.test.free_dofs] -= h * delta
-        fd = (apply_duality_map(forms, all_element_gradients(forms.test, rp))
-              - apply_duality_map(forms, all_element_gradients(forms.test, rm))
+        fd = (action(apply_duality_map, forms, all_element_gradients(forms.test, rp))
+              - action(apply_duality_map, forms, all_element_gradients(forms.test, rm))
               ) / (2 * h)
         Gd = G @ delta
         assert np.linalg.norm(fd - Gd) <= 1e-6 * np.linalg.norm(Gd)
@@ -266,6 +268,21 @@ class TestAssembleLoad:
                 support[e] += geo.areas[t]
         want = support[test.free_dofs] / 3.0
         assert np.abs(vec - want).max() < 1e-14
+
+    def test_chunks_equal_unchunked_formula(self):
+        m = unit_square_mesh(16)
+        assert m.n_triangles > QUAD_CHUNK
+        test = build_space(m, CR)
+        load = LoadSpec(sigma=0.97, x0=(0.0, 0.0))
+        quad = triangle_rule(10)
+        geo = geometry_of(m)
+        fx = load(quad.physical_points(geo.tri_coords))  # every point at once
+        cells = 2.0 * geo.areas[:, None] * ((fx * quad.weights)
+                                            @ (1.0 - 2.0 * quad.points))
+        full = np.bincount(m.triangle_edges.ravel(), weights=cells.ravel(),
+                           minlength=test.n_total)
+        assert np.array_equal(assemble_load(load, test, quad),
+                              full[test.free_dofs])
 
     def test_singular_load_is_finite(self):
         m = unit_square_mesh(4)
@@ -324,6 +341,6 @@ class TestStrictMonotonicity:
             diff = embed_p1_in_cr(m, u - w)[forms.test.free_dofs]
             g_u = all_element_gradients(forms.trial, u)
             g_w = all_element_gradients(forms.trial, w)
-            pairing = float((apply_plaplacian(forms, g_u)
-                             - apply_plaplacian(forms, g_w)) @ diff)
+            pairing = float((action(apply_plaplacian, forms, g_u)
+                             - action(apply_plaplacian, forms, g_w)) @ diff)
             assert pairing > 0.0

@@ -19,7 +19,7 @@ from plapminres.linsolve import (
 )
 from plapminres.mesh import refine_marked, unit_square_mesh
 from plapminres.newton import SolverOptions, cold_state, newton_solve
-from plapminres.spaces import CR, P1, all_element_gradients, build_space
+from plapminres.spaces import CR, P1, all_element_gradients, build_space, geometry_of
 from tests.oracles import dense_saddle_solve, reference_saddle_matrix
 
 
@@ -51,8 +51,8 @@ def graded_mesh():
 MESHES = {"uniform": lambda: unit_square_mesh(4), "graded": graded_mesh}
 
 
-def newton_blocks(mesh, p, seed=0):
-    """Spaces and random-state Jacobian element blocks on a mesh."""
+def newton_weights(mesh, p, seed=0):
+    """Spaces and random-state Jacobian element weights on a mesh."""
     rng = np.random.default_rng(seed)
     test = build_space(mesh, CR)
     trial = build_space(mesh, P1)
@@ -71,18 +71,45 @@ def stored_entries(A):
 
 
 def assemble(test, trial, G, B):
-    """K of the element blocks, read back in the natural order."""
+    """K of the element weights, read back in the natural order."""
     system = assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
                              np.zeros(trial.n_free))
     order = system.order
     return system.K[order][:, order]
 
 
+def loop_weight_matrix(mesh, test, trial, k):
+    """Dense K of the unit weight k on every element, by plain loops over
+    the triangles and their local basis functions."""
+    geo = geometry_of(mesh)
+    n = test.n_free
+    K = np.zeros((n + trial.n_free,) * 2)
+    tensors = [None, None, [[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]]
+    for t in range(mesh.n_triangles):
+        for i, e in enumerate(mesh.triangle_edges[t]):
+            row = test._free_index[e]
+            if row < 0:
+                continue
+            c_i = geo.grad_cr[t, i]
+            for j in range(3):
+                if k < 2:
+                    col = test._free_index[mesh.triangle_edges[t, j]]
+                    if col >= 0:
+                        K[row, col] += c_i[k] * geo.grad_cr[t, j, k]
+                    continue
+                col = trial._free_index[mesh.triangles[t, j]]
+                if col >= 0:
+                    b = c_i @ np.array(tensors[k], float) @ geo.grad_p1[t, j]
+                    K[row, n + col] += b
+                    K[n + col, row] += b
+    return K
+
+
 class TestAssembleSaddle:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("kind", sorted(MESHES))
     def test_pattern_matches_reference_assembly(self, kind, p):
-        test, trial, G, B = newton_blocks(MESHES[kind](), p)
+        test, trial, G, B = newton_weights(MESHES[kind](), p)
         K = assemble(test, trial, G, B)
         want = reference_saddle_matrix(G, B, test, trial)
         # the reference also drops the G entries that cancel to zero; away
@@ -92,38 +119,44 @@ class TestAssembleSaddle:
             assert K.nnz == want.nnz
         dense = want.toarray()
         assert np.abs(K.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
+        assert abs(K - K.T).max() == 0.0
 
-    def test_identity_block_layout(self):
-        mesh = unit_square_mesh(2)
-        test, trial, _, _ = newton_blocks(mesh, 2.0)
-        eye = np.broadcast_to(np.eye(3), (mesh.n_triangles, 3, 3))
-        K = assemble(test, trial, eye, np.zeros_like(eye)).toarray()
-        n = test.n_free
-        want = np.zeros((n + trial.n_free,) * 2)
-        want[:n, :n] = 2.0 * np.eye(n)  # every free edge has two triangles
-        assert np.array_equal(K, want)
+    @pytest.mark.parametrize("k", range(5))
+    def test_weight_layout(self, k):
+        mesh = graded_mesh()
+        test, trial, _, _ = newton_weights(mesh, 2.0)
+        weights = np.zeros((mesh.n_triangles, 5))
+        weights[:, k] = 1.0
+        K = assemble(test, trial, weights[:, :2], weights[:, 2:]).toarray()
+        want = loop_weight_matrix(mesh, test, trial, k)
+        assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_symmetry(self):
-        K = assemble(*newton_blocks(graded_mesh(), 1.6))
+        K = assemble(*newton_weights(graded_mesh(), 1.6))
         assert abs(K - K.T).max() == 0.0
 
     def test_block_recovery(self):
-        test, trial, G, B = newton_blocks(graded_mesh(), 2.5)
+        test, trial, G, B = newton_weights(graded_mesh(), 2.5)
         K = assemble(test, trial, G, B)
         want = reference_saddle_matrix(G, B, test, trial)
         n = test.n_free
-        assert np.array_equal(K[:n, n:].toarray(), want[:n, n:].toarray())
+        scale = np.abs(want[:n, n:]).max()
+        # the values map and the element blocks round differently
+        assert np.abs(K[:n, n:] - want[:n, n:]).max() <= 1e-14 * scale
 
     def test_trailing_block_zero(self):
-        test, trial, G, B = newton_blocks(unit_square_mesh(3), 1.5)
+        test, trial, G, B = newton_weights(unit_square_mesh(3), 1.5)
         K = assemble(test, trial, G, B)
         n = test.n_free
         assert K[n:, n:].nnz == 0
 
     def test_dimension_mismatch(self):
-        test, trial, G, B = newton_blocks(unit_square_mesh(2), 2.0)
+        test, trial, G, B = newton_weights(unit_square_mesh(2), 2.0)
         with pytest.raises(ValueError):
             assemble_saddle(test, trial, G[1:], B, np.zeros(test.n_free),
+                            np.zeros(trial.n_free))
+        with pytest.raises(ValueError):
+            assemble_saddle(test, trial, B, G, np.zeros(test.n_free),
                             np.zeros(trial.n_free))
         with pytest.raises(ValueError):
             assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
@@ -190,7 +223,7 @@ class TestOrdering:
     the pattern; every Newton step factors K in that order."""
 
     def test_fill_matches_fresh_minimum_degree(self):
-        test, trial, G, B = newton_blocks(unit_square_mesh(8), 1.5)
+        test, trial, G, B = newton_weights(unit_square_mesh(8), 1.5)
         system = assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
                                  np.zeros(trial.n_free))
         order = system.order
@@ -213,7 +246,7 @@ class TestOrdering:
         assert np.array_equal(default.perm_c, pattern.order)
 
     def test_kernel_settings_store_no_more_fill(self):
-        test, trial, G, B = newton_blocks(graded_mesh(), 1.5)
+        test, trial, G, B = newton_weights(graded_mesh(), 1.5)
         rng = np.random.default_rng(12)
         system = assemble_saddle(test, trial, G, B, rng.standard_normal(test.n_free),
                                  rng.standard_normal(trial.n_free))
@@ -224,7 +257,7 @@ class TestOrdering:
         assert rel <= 1e-10 and not fell_back
 
     def test_graded_solve_certified_in_natural_order(self):
-        test, trial, G, B = newton_blocks(graded_mesh(), 1.5)
+        test, trial, G, B = newton_weights(graded_mesh(), 1.5)
         rng = np.random.default_rng(10)
         top = rng.standard_normal(test.n_free)
         bottom = rng.standard_normal(trial.n_free)
@@ -237,7 +270,7 @@ class TestOrdering:
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_refused_ordering_call_takes_colamd_order(self, monkeypatch):
-        test, trial, G, B = newton_blocks(graded_mesh(), 1.5)
+        test, trial, G, B = newton_weights(graded_mesh(), 1.5)
         fake = _FailingSymmetricSpla(linsolve.spla, "raise")
         monkeypatch.setattr(linsolve, "spla", fake)
         pattern = linsolve.saddle_pattern(test, trial)
@@ -289,7 +322,7 @@ class _PerturbedLU:
 
 
 def random_rhs_system(seed):
-    test, trial, G, B = newton_blocks(graded_mesh(), 1.5)
+    test, trial, G, B = newton_weights(graded_mesh(), 1.5)
     rng = np.random.default_rng(seed)
     return assemble_saddle(test, trial, G, B, rng.standard_normal(test.n_free),
                            rng.standard_normal(trial.n_free))

@@ -11,6 +11,7 @@ from plapminres.forms import (
     LoadSpec,
     NonlinearForms,
     apply_duality_map,
+    apply_jacobian_transpose,
     apply_plaplacian,
     assemble_load,
     assemble_operator_jacobian,
@@ -31,10 +32,12 @@ from plapminres.spaces import (
     all_element_gradients,
     broken_seminorm,
     build_space,
-    element_dofs,
+    integrate_flux,
     triangle_rule,
 )
 from tests.oracles import (
+    action,
+    block_residual,
     duality_jacobian_matrix,
     operator_jacobian_matrix,
     p1_poisson_galerkin,
@@ -78,8 +81,8 @@ class TestNonlinearResidual:
         forms = factory(2.0)
         u = p1_poisson_galerkin(mesh, forms.dirichlet_values, load_free, test)
         G = duality_jacobian_matrix(forms, np.zeros(test.n_total))
-        rhs = load_free - apply_plaplacian(
-            forms, all_element_gradients(forms.trial, u))
+        rhs = load_free - action(
+            apply_plaplacian, forms, all_element_gradients(forms.trial, u))
         r = np.zeros(test.n_total)
         r[test.free_dofs] = spla.spsolve(G.tocsc(), rhs)
         top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r, 2.0))
@@ -95,20 +98,36 @@ class TestNonlinearResidual:
         r[test.free_dofs] = rng.standard_normal(test.n_free)
         top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r, 2.3))
         g_u = all_element_gradients(forms.trial, u)
-        top2 = (load_free
-                - apply_duality_map(forms, all_element_gradients(test, r))
-                - apply_plaplacian(forms, g_u))
-        assert np.array_equal(top, top2)
-        # -B^T r summed per element, in the order of the element DOFs
-        trial = forms.trial
-        cells = np.einsum("tij,ti->tj", assemble_operator_jacobian(forms, g_u),
-                          r[element_dofs(test)])
-        full = np.zeros(trial.n_total)
-        np.add.at(full, element_dofs(trial).ravel(), cells.ravel())
-        assert np.array_equal(bottom, -full[trial.free_dofs])
+        g_r = all_element_gradients(test, r)
+        # both actions tested at once, from the sum of their fluxes
+        flux = apply_duality_map(forms, g_r) + apply_plaplacian(forms, g_u)
+        assert np.array_equal(top, load_free - integrate_flux(test, flux))
+        B = assemble_operator_jacobian(forms, g_u)
+        assert np.array_equal(bottom,
+                              -apply_jacobian_transpose(forms, B, g_r))
         # the sparse product sums per row of B, in another order
         bottom2 = -(operator_jacobian_matrix(forms, u).T @ r[test.free_dofs])
         assert np.abs(bottom - bottom2).max() <= 1e-14 * np.abs(bottom2).max()
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+    def test_matches_block_route(self, p, graded):
+        rng = np.random.default_rng(1)
+        mesh = unit_square_mesh(4)
+        if graded:
+            for _ in range(3):
+                mesh = refine_marked(mesh, np.arange(0, mesh.n_triangles, 3))
+        trial, test = build_space(mesh, P1), build_space(mesh, CR)
+        forms = NonlinearForms(p, trial, test, rng.standard_normal(test.n_free),
+                               rng.standard_normal(trial.constrained_dofs.size))
+        u = rng.standard_normal(trial.n_total)
+        r = np.zeros(test.n_total)
+        r[test.free_dofs] = rng.standard_normal(test.n_free)
+        top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r, p))
+        top2, bottom2, top_scale, bottom_scale = block_residual(
+            forms, DiscreteState(u, r, p))
+        assert np.abs(top - top2).max() <= 1e-13 * top_scale
+        assert np.abs(bottom - bottom2).max() <= 1e-13 * bottom_scale
 
 
 class TestNewtonSolve:
