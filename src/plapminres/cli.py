@@ -92,7 +92,7 @@ def _given(**options) -> dict:
 
 def cmd_run(args) -> int:
     try:
-        raw = json.loads(Path(args.config).read_text())
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{args.config}: malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):

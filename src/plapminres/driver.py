@@ -59,7 +59,7 @@ from .newton import (
     is_integer,
     newton_solve,
 )
-from .spaces import CR, P1, DofMap, all_element_gradients, build_space, geometry_of, triangle_rule
+from .spaces import CR, P1, DofMap, all_element_gradients, build_space, triangle_rule
 
 log = logging.getLogger(__name__)
 
@@ -350,7 +350,7 @@ def transfer_state(state: DiscreteState, old_trial: DofMap, old_test: DofMap,
     tpar = new_mesh.parent
     mean = state.r[old_mesh.triangle_edges].mean(axis=1)[tpar]
     g_r = all_element_gradients(old_test, state.r)[tpar]
-    centroid = geometry_of(old_mesh).tri_coords.mean(axis=1)[tpar]
+    centroid = old_mesh.vertices[old_mesh.triangles].mean(axis=1)[tpar]
     edges = new_mesh.triangle_edges
     offset = new_mesh.edge_midpoints()[edges] - centroid[:, None, :]
     vals = mean[:, None] + np.einsum("td,tkd->tk", g_r, offset)

@@ -54,7 +54,6 @@ from .spaces import (
     all_element_gradients,
     broken_seminorm,
     element_dofs,
-    geometry_of,
     integrate_flux,
 )
 
@@ -128,12 +127,11 @@ def apply_plaplacian(forms: NonlinearForms, g_u: np.ndarray) -> np.ndarray:
     A zero element gradient contributes nothing for any p > 1 (the flux
     has magnitude |g|^(p-1) -> 0), so no regularization is needed here.
     """
-    geo = geometry_of(forms.mesh)
     g0, g1 = g_u.T
     s = np.sqrt(g0 * g0 + g1 * g1)
     w = np.zeros_like(s)
     nz = s > 0.0
-    w[nz] = geo.areas[nz] * s[nz] ** (forms.p - 2.0)
+    w[nz] = forms.mesh.areas[nz] * s[nz] ** (forms.p - 2.0)
     return w[:, None] * g_u
 
 
@@ -141,8 +139,7 @@ def apply_duality_map(forms: NonlinearForms, g_r: np.ndarray) -> np.ndarray:
     """Gradient of (1/p) * ||r||^p in the broken componentwise norm, as the
     (nt, 2) area-weighted element fluxes ``area * |g_k|^(p-2) g_k`` of the
     element gradients ``g_r`` of r."""
-    geo = geometry_of(forms.mesh)
-    return geo.areas[:, None] * (np.sign(g_r) * np.abs(g_r) ** (forms.p - 1.0))
+    return forms.mesh.areas[:, None] * (np.sign(g_r) * np.abs(g_r) ** (forms.p - 1.0))
 
 
 def _jacobian_epsilon(forms: NonlinearForms, dm: DofMap, g: np.ndarray) -> float:
@@ -164,11 +161,10 @@ def assemble_operator_jacobian(forms: NonlinearForms,
     elements.  For eps = 0 and nonvanishing gradients this is the exact
     Gateaux derivative.
     """
-    geo = geometry_of(forms.mesh)
     eps = _jacobian_epsilon(forms, forms.trial, g_u)
     g0, g1 = g_u.T
     s2 = g0 * g0 + g1 * g1 + eps ** 2
-    mu = geo.areas * s2 ** ((forms.p - 2.0) / 2.0)
+    mu = forms.mesh.areas * s2 ** ((forms.p - 2.0) / 2.0)
     rank1 = (forms.p - 2.0) * mu / s2
     return np.column_stack([mu + rank1 * g0 * g0, rank1 * g0 * g1,
                             mu + rank1 * g1 * g1])
@@ -196,10 +192,9 @@ def assemble_duality_jacobian(forms: NonlinearForms,
     functions phi_i and phi_j sums ``area * sum_k d_k (d_k phi_i)
     (d_k phi_j)`` over the elements, exactly symmetric in i and j.
     """
-    geo = geometry_of(forms.mesh)
     eps = _jacobian_epsilon(forms, forms.test, g_r)
     d = (forms.p - 1.0) * (g_r ** 2 + eps ** 2) ** ((forms.p - 2.0) / 2.0)
-    return geo.areas[:, None] * d
+    return forms.mesh.areas[:, None] * d
 
 
 def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray:
@@ -210,18 +205,18 @@ def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray
     quadrature points are strictly interior, so a singular radial load is
     never sampled at its center (checked, raising :class:`FormsError`).
     """
-    geo = geometry_of(test_dm.mesh)
+    m = test_dm.mesh
     phi = 1.0 - 2.0 * quad.points  # CR basis at the rule's barycentric points
-    cells = np.empty((geo.areas.size, 3))
-    for start in range(0, geo.areas.size, QUAD_CHUNK):
+    cells = np.empty((m.n_triangles, 3))
+    for start in range(0, m.n_triangles, QUAD_CHUNK):
         block = slice(start, start + QUAD_CHUNK)
-        pts = quad.physical_points(geo.tri_coords[block])  # (chunk, nq, 2)
+        pts = quad.physical_points(m.vertices[m.triangles[block]])  # (chunk, nq, 2)
         dist = np.linalg.norm(pts - np.asarray(load.x0), axis=-1)
         if not np.all(dist > 0.0):
             raise FormsError("a quadrature point coincides with the load "
                              "center x0")
         fx = load(pts)
-        cells[block] = (2.0 * geo.areas[block, None]
+        cells[block] = (2.0 * m.areas[block, None]
                         * ((fx * quad.weights) @ phi))
     full = np.bincount(element_dofs(test_dm).ravel(), weights=cells.ravel(),
                        minlength=test_dm.n_total)
@@ -230,6 +225,5 @@ def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray
 
 def local_indicators(forms: NonlinearForms, r_coeffs: np.ndarray) -> np.ndarray:
     """Per-triangle masses m_T = |r|^p_{W^{1,p}(T)}; they sum to ||r||^p."""
-    geo = geometry_of(forms.mesh)
     g = all_element_gradients(forms.test, r_coeffs)
-    return geo.areas * (np.abs(g) ** forms.p).sum(axis=1)
+    return forms.mesh.areas * (np.abs(g) ** forms.p).sum(axis=1)

@@ -50,7 +50,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
-from .spaces import DofMap, element_dofs, geometry_of
+from .spaces import DofMap, element_dofs
 
 # the once-per-mesh ordering call, the per-step symmetric factorization in
 # the order it found, and the general-purpose fallback.  With panel_size=1
@@ -129,14 +129,14 @@ def _build_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     """
     rows_t = test._free_index[element_dofs(test)]
     rows_u = trial._free_index[element_dofs(trial)]
-    geo = geometry_of(test.mesh)
-    c = geo.grad_cr[:, :, None, :]   # (nt, 3, 1, 2): test function i
-    q = geo.grad_p1[:, None, :, :]   # (nt, 1, 3, 2): trial function j
+    mesh = test.mesh
+    c = (-2.0 * mesh.grad_lambda)[:, :, None, :]  # (nt, 3, 1, 2): test i
+    q = mesh.grad_lambda[:, None, :, :]           # (nt, 1, 3, 2): trial j
     g_coef = c * c.transpose(0, 2, 1, 3)  # (nt, 3, 3, 2)
     b_coef = np.stack([c[..., 0] * q[..., 0],
                        c[..., 0] * q[..., 1] + c[..., 1] * q[..., 0],
                        c[..., 1] * q[..., 1]], axis=-1)  # (nt, 3, 3, 3)
-    nt = geo.areas.size
+    nt = mesh.n_triangles
     n, m = test.n_free, trial.n_free
     size = n + m
 
@@ -173,8 +173,8 @@ def _build_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     values = sp.coo_matrix((data, (map_rows, map_cols)),
                            shape=(keys.size, 5 * nt))
 
-    p2_weights = np.concatenate([np.repeat(geo.areas, 2), (
-        geo.areas[:, None] * np.array([1.0, 0.0, 1.0])).ravel()])
+    p2_weights = np.concatenate([np.repeat(mesh.areas, 2), (
+        mesh.areas[:, None] * np.array([1.0, 0.0, 1.0])).ravel()])
     K2 = sp.csc_matrix((values @ p2_weights, keys % size,
                         np.searchsorted(keys // size, np.arange(size + 1))),
                        shape=(size, size))

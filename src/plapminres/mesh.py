@@ -21,7 +21,11 @@ Conventions used throughout the package:
   triangle ``t`` is bisected next;
 * meshes are immutable, refinement returns a new :class:`Mesh` and records
   one generation of genealogy (``parent`` per triangle, ``vertex_parents``
-  per vertex).
+  per vertex);
+* every mesh carries its element geometry, computed once when it is
+  built: the triangle ``areas`` and the barycentric gradients
+  ``grad_lambda``; the CR basis function of edge ``i`` is
+  ``1 - 2 lambda_i``, so its gradient is ``-2 * grad_lambda[:, i]``.
 """
 
 from __future__ import annotations
@@ -59,8 +63,11 @@ class Mesh:
     vertex_parents : (nv, 2) int array
         For vertices created as edge midpoints, the endpoint indices in the
         previous mesh; ``(i, i)`` for inherited vertices.
-    expected_area : float
-        Total domain area, preserved by refinement.
+    areas : (nt,) float array
+        Area of each triangle.
+    grad_lambda : (nt, 3, 2) float array
+        ``grad_lambda[t, i]`` is the constant gradient of the barycentric
+        coordinate (the P1 hat function) of local vertex ``i`` on ``t``.
     """
 
     vertices: np.ndarray
@@ -71,7 +78,8 @@ class Mesh:
     refinement_edge: np.ndarray
     parent: np.ndarray
     vertex_parents: np.ndarray
-    expected_area: float
+    areas: np.ndarray
+    grad_lambda: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -106,7 +114,7 @@ def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _build_mesh(vertices, triangles, *, refinement_edge=None, parent=None,
-                vertex_parents=None, expected_area=None) -> Mesh:
+                vertex_parents=None) -> Mesh:
     """Assemble a Mesh from vertices and triangles, deriving connectivity.
 
     When ``refinement_edge`` is None, each triangle gets its longest edge,
@@ -156,18 +164,27 @@ def _build_mesh(vertices, triangles, *, refinement_edge=None, parent=None,
     if vertex_parents is None:
         idx = np.arange(nv, dtype=np.int64)
         vertex_parents = np.stack([idx, idx], axis=1)
-    if expected_area is None:
-        expected_area = float(areas.sum())
+
+    # grad(lambda_i) = rot90(x_{i+2} - x_{i+1}) / (2 area)
+    coords = vertices[triangles]
+    e = np.stack([coords[:, 2] - coords[:, 1],
+                  coords[:, 0] - coords[:, 2],
+                  coords[:, 1] - coords[:, 0]], axis=1)
+    rot = np.empty_like(e)
+    rot[..., 0] = -e[..., 1]
+    rot[..., 1] = e[..., 0]
+    grad_lambda = rot / (2.0 * areas)[:, None, None]
 
     for arr in (vertices, triangles, edges, triangle_edges,
-                boundary_edge_flags, refinement_edge, parent, vertex_parents):
+                boundary_edge_flags, refinement_edge, parent, vertex_parents,
+                areas, grad_lambda):
         arr.setflags(write=False)
 
     return Mesh(vertices, triangles, edges, triangle_edges,
                 boundary_edge_flags, refinement_edge,
                 np.asarray(parent, dtype=np.int64),
                 np.asarray(vertex_parents, dtype=np.int64),
-                float(expected_area))
+                areas, grad_lambda)
 
 
 def unit_square_mesh(n: int) -> Mesh:
@@ -198,7 +215,7 @@ def unit_square_mesh(n: int) -> Mesh:
     v11 = v00 + n + 2
     tris = np.stack([v00, v00 + 1, v11, v00, v11, v00 + n + 1],
                     axis=1).reshape(-1, 3)
-    return _build_mesh(vertices, tris, expected_area=1.0)
+    return _build_mesh(vertices, tris)
 
 
 def refine_uniform(m: Mesh) -> Mesh:
@@ -230,8 +247,7 @@ def refine_uniform(m: Mesh) -> Mesh:
     old = np.arange(nv, dtype=np.int64)
     vertex_parents = np.vstack([np.stack([old, old], axis=1), m.edges])
     return _build_mesh(vertices, children, parent=parent,
-                       vertex_parents=vertex_parents,
-                       expected_area=m.expected_area)
+                       vertex_parents=vertex_parents)
 
 
 def refine_marked(m: Mesh, marked) -> Mesh:
@@ -314,8 +330,7 @@ def refine_marked(m: Mesh, marked) -> Mesh:
     return _build_mesh(vertices, children[keep],
                        refinement_edge=child_ref[keep],
                        parent=np.repeat(rows, keep.sum(axis=1)),
-                       vertex_parents=vertex_parents,
-                       expected_area=m.expected_area)
+                       vertex_parents=vertex_parents)
 
 
 def mesh_size(m: Mesh) -> float:

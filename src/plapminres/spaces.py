@@ -8,9 +8,10 @@ Two lowest-order spaces are handled on a shared :class:`~plapminres.mesh.Mesh`:
   at the edge midpoint), continuous only at interior edge midpoints and
   pinned to zero on boundary edges.
 
-A space depends on the mesh alone.  The Dirichlet values of the P1 trial
-space change with the exponent, so they live with the exponent's
-:class:`~plapminres.forms.NonlinearForms`, not here.
+A space depends on the mesh alone: its basis gradients are the mesh's
+``grad_lambda`` for P1 and ``-2 * grad_lambda`` for CR.  The Dirichlet
+values of the P1 trial space change with the exponent, so they live with
+the exponent's :class:`~plapminres.forms.NonlinearForms`, not here.
 
 Coefficient vectors are always "full" (one entry per DOF, constrained
 entries included); :class:`DofMap` converts between full vectors and the
@@ -28,7 +29,6 @@ basis (:func:`integrate_flux`).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import Mesh, signed_areas
+from .mesh import Mesh
 
 P1 = "P1"
 CR = "CR"
@@ -66,9 +66,9 @@ class QuadRule:
     points: np.ndarray
     weights: np.ndarray
 
-    def physical_points(self, tri_coords: np.ndarray) -> np.ndarray:
-        """Map to physical coordinates; tri_coords is (nt, 3, 2) or (3, 2)."""
-        return self.points @ tri_coords
+    def physical_points(self, coords: np.ndarray) -> np.ndarray:
+        """Map to physical coordinates; coords is (nt, 3, 2) or (3, 2)."""
+        return self.points @ coords
 
 
 def gauss_jacobi_1_0(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,44 +111,6 @@ def triangle_rule(degree: int) -> QuadRule:
     for arr in (points, w):
         arr.setflags(write=False)
     return QuadRule(points, w)
-
-
-# ---------------------------------------------------------------------------
-# element geometry
-
-
-@dataclass(frozen=True, eq=False)
-class ElementGeometry:
-    """Per-element affine data shared by every assembly routine.
-
-    ``grad_p1[t, i]`` is the (constant) gradient of the P1 hat function of
-    local vertex ``i`` on triangle ``t``; the CR basis function attached to
-    the edge opposite vertex ``i`` is ``1 - 2*lambda_i``, so its gradient
-    is ``-2 * grad_p1[t, i]``.
-    """
-
-    areas: np.ndarray           # (nt,)
-    grad_p1: np.ndarray         # (nt, 3, 2)
-    grad_cr: np.ndarray         # (nt, 3, 2)
-    tri_coords: np.ndarray      # (nt, 3, 2)
-
-    @classmethod
-    def from_mesh(cls, m: Mesh) -> "ElementGeometry":
-        coords = m.vertices[m.triangles]
-        areas = signed_areas(m.vertices, m.triangles)
-        # grad(lambda_i) = rot90(x_{i+2} - x_{i+1}) / (2 area)
-        e = np.stack([coords[:, 2] - coords[:, 1],
-                      coords[:, 0] - coords[:, 2],
-                      coords[:, 1] - coords[:, 0]], axis=1)
-        rot = np.empty_like(e)
-        rot[..., 0] = -e[..., 1]
-        rot[..., 1] = e[..., 0]
-        grad_p1 = rot / (2.0 * areas)[:, None, None]
-        grad_cr = -2.0 * grad_p1
-        arrays = (areas, grad_p1, grad_cr, coords)
-        for arr in arrays:
-            arr.setflags(write=False)
-        return cls(*arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +178,7 @@ def build_space(m: Mesh, kind: str) -> DofMap:
     free_index = np.full(n_total, -1, dtype=np.int64)
     free_index[free] = np.arange(free.size)
 
-    geo = geometry_of(m)
-    basis = geo.grad_p1 if kind == P1 else geo.grad_cr
+    basis = m.grad_lambda if kind == P1 else -2.0 * m.grad_lambda
     rows = 2 * m.n_triangles
     # row 2t + d holds d_d of the three local basis functions of triangle t
     data = basis.transpose(0, 2, 1).reshape(rows, 3)
@@ -245,7 +206,7 @@ def element_dofs(dm: DofMap) -> np.ndarray:
 
     Local slot ``i`` holds the vertex ``i`` hat function for P1 and the
     midpoint function of the edge opposite vertex ``i`` for CR, matching
-    the gradient layout of :class:`ElementGeometry`.
+    the gradient layout of ``Mesh.grad_lambda``.
     """
     return _element_dofs(dm.mesh, dm.kind)
 
@@ -261,18 +222,6 @@ def integrate_flux(dm: DofMap, flux: np.ndarray) -> np.ndarray:
     return dm.flux_map @ flux.ravel()
 
 
-_GEOMETRY_CACHE: "weakref.WeakKeyDictionary[Mesh, ElementGeometry]" = weakref.WeakKeyDictionary()
-
-
-def geometry_of(m: Mesh) -> ElementGeometry:
-    """Memoized :class:`ElementGeometry` of a mesh."""
-    geo = _GEOMETRY_CACHE.get(m)
-    if geo is None:
-        geo = ElementGeometry.from_mesh(m)
-        _GEOMETRY_CACHE[m] = geo
-    return geo
-
-
 def broken_seminorm(dm: DofMap, g: np.ndarray, p: float) -> float:
     """Broken W^{1,p} seminorm with componentwise gradient powers.
 
@@ -282,6 +231,5 @@ def broken_seminorm(dm: DofMap, g: np.ndarray, p: float) -> float:
     """
     if p <= 1.0:
         raise SpaceError("broken seminorm requires p > 1")
-    geo = geometry_of(dm.mesh)
     a0, a1 = (np.abs(g) ** p).T
-    return float((geo.areas @ (a0 + a1)) ** (1.0 / p))
+    return float((dm.mesh.areas @ (a0 + a1)) ** (1.0 / p))

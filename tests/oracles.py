@@ -54,15 +54,15 @@ def p1_poisson_galerkin(mesh, boundary_values, load_free_cr, test_dm):
 
     Returns the full P1 coefficient vector.
     """
-    from plapminres.spaces import build_space, geometry_of, P1
+    from plapminres.spaces import build_space, P1
 
     trial = build_space(mesh, P1)
-    geo = geometry_of(mesh)
     tri = mesh.triangles
 
     n = mesh.n_vertices
     K = np.zeros((n, n))
-    local = np.einsum("t,tid,tjd->tij", geo.areas, geo.grad_p1, geo.grad_p1)
+    local = np.einsum("t,tid,tjd->tij", mesh.areas, mesh.grad_lambda,
+                      mesh.grad_lambda)
     for t in range(mesh.n_triangles):
         idx = tri[t]
         K[np.ix_(idx, idx)] += local[t]
@@ -160,10 +160,10 @@ def weight_matrix(weights, row_dm, col_dm) -> sp.csr_matrix:
     weight the products ``(d_k phi_i)(d_k phi_j)``, so they are exactly
     symmetric when both spaces are the same.
     """
-    from plapminres.spaces import P1, geometry_of
+    from plapminres.spaces import P1
 
-    geo = geometry_of(row_dm.mesh)
-    rg, cg = ((geo.grad_p1 if dm.kind == P1 else geo.grad_cr)
+    grad_lambda = row_dm.mesh.grad_lambda
+    rg, cg = ((grad_lambda if dm.kind == P1 else -2.0 * grad_lambda)
               for dm in (row_dm, col_dm))
     weights = np.asarray(weights)
     if weights.shape[1] == 2:
@@ -232,10 +232,11 @@ def block_residual(forms, state):
     largest magnitude of the terms that make up the block.
     """
     from plapminres.forms import EPS_FLOOR
-    from plapminres.spaces import P1, broken_seminorm, element_dofs, geometry_of
+    from plapminres.spaces import P1, broken_seminorm, element_dofs
 
     test, trial, p = forms.test, forms.trial, forms.p
-    geo = geometry_of(forms.mesh)
+    areas, grad_p1 = forms.mesh.areas, forms.mesh.grad_lambda
+    grad_cr = -2.0 * grad_p1
 
     def gather(dm, cells):
         full = np.bincount(element_dofs(dm).ravel(), weights=cells.ravel(),
@@ -243,23 +244,23 @@ def block_residual(forms, state):
         return full[dm.free_dofs]
 
     def gradients(dm, coeffs):
-        basis = geo.grad_p1 if dm.kind == P1 else geo.grad_cr
+        basis = grad_p1 if dm.kind == P1 else grad_cr
         return np.einsum("ti,tid->td", coeffs[element_dofs(dm)], basis)
 
     g_u = gradients(trial, state.u)
     g_r = gradients(test, state.r)
     s = np.linalg.norm(g_u, axis=1)
     w = np.where(s > 0.0, s, 1.0) ** (p - 2.0) * (s > 0.0)
-    N = gather(test, np.einsum("t,td,tid->ti", geo.areas * w, g_u, geo.grad_cr))
-    D = gather(test, np.einsum("t,td,tid->ti", geo.areas,
+    N = gather(test, np.einsum("t,td,tid->ti", areas * w, g_u, grad_cr))
+    D = gather(test, np.einsum("t,td,tid->ti", areas,
                                np.sign(g_r) * np.abs(g_r) ** (p - 1.0),
-                               geo.grad_cr))
+                               grad_cr))
     eps = max(EPS_FLOOR, EPS_FLOOR * broken_seminorm(trial, g_u, p))
     s2 = (g_u ** 2).sum(axis=1) + eps ** 2
-    du = np.einsum("td,tjd->tj", g_u, geo.grad_p1)
-    dv = np.einsum("td,tid->ti", g_u, geo.grad_cr)
-    B = (s2 ** ((p - 2.0) / 2.0) * geo.areas)[:, None, None] * (
-        np.einsum("tid,tjd->tij", geo.grad_cr, geo.grad_p1)
+    du = np.einsum("td,tjd->tj", g_u, grad_p1)
+    dv = np.einsum("td,tid->ti", g_u, grad_cr)
+    B = (s2 ** ((p - 2.0) / 2.0) * areas)[:, None, None] * (
+        np.einsum("tid,tjd->tij", grad_cr, grad_p1)
         + ((p - 2.0) / s2)[:, None, None] * dv[:, :, None] * du[:, None, :])
     r = test.full_from_free(state.r[test.free_dofs])
     Btr = gather(trial, np.einsum("tij,ti->tj", B, r[element_dofs(test)]))
@@ -324,20 +325,20 @@ def min_angle(m) -> float:
     return smallest
 
 
-def check_mesh(m, *, rel_tol: float = 1e-12) -> list[str]:
+def check_mesh(m, *, domain_area: float = 1.0,
+               rel_tol: float = 1e-12) -> list[str]:
     """Run all mesh invariants, returning a list of violation messages.
 
     Checks: positive orientation, edge adjacency counts in {1, 2}, area
-    conservation against the recorded domain area, and absence of hanging
-    nodes.  Refinement only ever inserts edge midpoints, so a hanging node
-    always coincides with the midpoint of some surviving edge; the check
-    looks every edge midpoint up in a vertex coordinate table.
+    conservation against ``domain_area`` (the unit square by default), and
+    absence of hanging nodes.  Refinement only ever inserts edge midpoints,
+    so a hanging node always coincides with the midpoint of some surviving
+    edge; the check looks every edge midpoint up in a vertex coordinate
+    table.
     """
-    from plapminres.mesh import signed_areas
-
     problems: list[str] = []
 
-    areas = signed_areas(m.vertices, m.triangles)
+    areas = m.areas
     if np.any(areas <= 0.0):
         problems.append(f"{int((areas <= 0).sum())} non-positive triangle areas")
 
@@ -348,9 +349,9 @@ def check_mesh(m, *, rel_tol: float = 1e-12) -> list[str]:
         problems.append("boundary flags inconsistent with adjacency counts")
 
     total = float(areas.sum())
-    if abs(total - m.expected_area) > rel_tol * abs(m.expected_area):
+    if abs(total - domain_area) > rel_tol * abs(domain_area):
         problems.append(f"area {total!r} differs from domain area "
-                        f"{m.expected_area!r}")
+                        f"{domain_area!r}")
 
     coord_table = {(float(x), float(y)): i
                    for i, (x, y) in enumerate(m.vertices)}

@@ -34,7 +34,6 @@ from plapminres.spaces import (
     all_element_gradients,
     broken_seminorm,
     build_space,
-    geometry_of,
     triangle_rule,
 )
 from tests.oracles import (
@@ -243,9 +242,8 @@ class TestCriterion5PropertySuite:
         rng = np.random.default_rng(102)
         mesh = unit_square_mesh(4)
         trial = build_space(mesh, P1)
-        geo = geometry_of(mesh)
         rule = triangle_rule(12)
-        pts = rule.physical_points(geo.tri_coords)  # (nt, nq, 2)
+        pts = rule.physical_points(mesh.vertices[mesh.triangles])  # (nt, nq, 2)
         exponents = (1.5, 2.0, 2.5, 3.0)
         worst = 0.0
         for k in range(100):
@@ -272,7 +270,7 @@ class TestCriterion5PropertySuite:
 
             # exact mean gradient of v per element via volume quadrature
             gv = grad_v(pts)
-            mean_grad_v = 2.0 * geo.areas[:, None] * np.einsum(
+            mean_grad_v = 2.0 * mesh.areas[:, None] * np.einsum(
                 "q,tqd->td", rule.weights, gv)
             # mean gradient of the CR interpolant
             pi_v = np.zeros(mesh.n_edges)
@@ -281,8 +279,8 @@ class TestCriterion5PropertySuite:
             for e in range(mesh.n_edges):
                 pi_v[e] = mean(ev[e, 0], ev[e, 1])
             g_pi = np.einsum("ti,tid->td", pi_v[mesh.triangle_edges],
-                             geo.grad_cr)
-            mean_grad_pi = geo.areas[:, None] * g_pi
+                             -2.0 * mesh.grad_lambda)
+            mean_grad_pi = mesh.areas[:, None] * g_pi
 
             pairing = float(np.einsum(
                 "td,td->", flux, mean_grad_v - mean_grad_pi))

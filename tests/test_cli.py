@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import plapminres
 from plapminres.cli import ConfigError, config_from_dict, main
 
 
@@ -162,6 +166,21 @@ class TestBadInputExits2:
         path.write_text('{"p_target": 2.0,')
         assert_input_error(["run", "--config", str(path)], capsys,
                            "malformed JSON")
+
+    def test_utf8_config_under_ascii_locale(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"p_target": 2.0, "gr\u00f6\u00dfe": 1}',
+                        encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(plapminres.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "plapminres.cli", "run", "--config",
+             str(path)], env=env, capture_output=True, text=True,
+            errors="replace", timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "unknown field" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_json_array(self, tmp_path, capsys):
         path = tmp_path / "config.json"

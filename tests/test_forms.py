@@ -18,7 +18,6 @@ from plapminres.spaces import (
     all_element_gradients,
     broken_seminorm,
     build_space,
-    geometry_of,
     triangle_rule,
 )
 from tests.oracles import (
@@ -43,14 +42,14 @@ def make_forms(mesh, p, load=None, quad_degree=4):
 def stiffness_action_oracle(forms, coeffs, kind):
     """Plain-loop CR-tested stiffness action sum_T area grad . grad phi_i."""
     mesh = forms.mesh
-    geo = geometry_of(mesh)
+    grad_cr = -2.0 * mesh.grad_lambda
     dm = forms.trial if kind == "trial" else forms.test
     g = all_element_gradients(dm, coeffs)
     out = np.zeros(forms.test.n_total)
     for t in range(mesh.n_triangles):
         for i in range(3):
             e = mesh.triangle_edges[t, i]
-            out[e] += geo.areas[t] * float(g[t] @ geo.grad_cr[t, i])
+            out[e] += mesh.areas[t] * float(g[t] @ grad_cr[t, i])
     return out[forms.test.free_dofs]
 
 
@@ -261,11 +260,10 @@ class TestAssembleLoad:
         test = build_space(m, CR)
         load = LoadSpec(sigma=0.0)  # f = 1
         vec = assemble_load(load, test, triangle_rule(2))
-        geo = geometry_of(m)
         support = np.zeros(test.n_total)
         for t in range(m.n_triangles):
             for e in m.triangle_edges[t]:
-                support[e] += geo.areas[t]
+                support[e] += m.areas[t]
         want = support[test.free_dofs] / 3.0
         assert np.abs(vec - want).max() < 1e-14
 
@@ -275,10 +273,9 @@ class TestAssembleLoad:
         test = build_space(m, CR)
         load = LoadSpec(sigma=0.97, x0=(0.0, 0.0))
         quad = triangle_rule(10)
-        geo = geometry_of(m)
-        fx = load(quad.physical_points(geo.tri_coords))  # every point at once
-        cells = 2.0 * geo.areas[:, None] * ((fx * quad.weights)
-                                            @ (1.0 - 2.0 * quad.points))
+        fx = load(quad.physical_points(m.vertices[m.triangles]))  # every point at once
+        cells = 2.0 * m.areas[:, None] * ((fx * quad.weights)
+                                          @ (1.0 - 2.0 * quad.points))
         full = np.bincount(m.triangle_edges.ravel(), weights=cells.ravel(),
                            minlength=test.n_total)
         assert np.array_equal(assemble_load(load, test, quad),

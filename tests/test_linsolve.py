@@ -19,7 +19,7 @@ from plapminres.linsolve import (
 )
 from plapminres.mesh import refine_marked, unit_square_mesh
 from plapminres.newton import SolverOptions, cold_state, newton_solve
-from plapminres.spaces import CR, P1, all_element_gradients, build_space, geometry_of
+from plapminres.spaces import CR, P1, all_element_gradients, build_space
 from tests.oracles import dense_saddle_solve, reference_saddle_matrix
 
 
@@ -81,7 +81,7 @@ def assemble(test, trial, G, B):
 def loop_weight_matrix(mesh, test, trial, k):
     """Dense K of the unit weight k on every element, by plain loops over
     the triangles and their local basis functions."""
-    geo = geometry_of(mesh)
+    grad_cr = -2.0 * mesh.grad_lambda
     n = test.n_free
     K = np.zeros((n + trial.n_free,) * 2)
     tensors = [None, None, [[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]]
@@ -90,16 +90,16 @@ def loop_weight_matrix(mesh, test, trial, k):
             row = test._free_index[e]
             if row < 0:
                 continue
-            c_i = geo.grad_cr[t, i]
+            c_i = grad_cr[t, i]
             for j in range(3):
                 if k < 2:
                     col = test._free_index[mesh.triangle_edges[t, j]]
                     if col >= 0:
-                        K[row, col] += c_i[k] * geo.grad_cr[t, j, k]
+                        K[row, col] += c_i[k] * grad_cr[t, j, k]
                     continue
                 col = trial._free_index[mesh.triangles[t, j]]
                 if col >= 0:
-                    b = c_i @ np.array(tensors[k], float) @ geo.grad_p1[t, j]
+                    b = c_i @ np.array(tensors[k], float) @ mesh.grad_lambda[t, j]
                     K[row, n + col] += b
                     K[n + col, row] += b
     return K

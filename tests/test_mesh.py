@@ -188,6 +188,61 @@ class TestMarkedRefinement:
         assert abs(total - 1.0) <= 1e-12
 
 
+def geometry_meshes():
+    """A unit square, its uniform refinement and three successive marked
+    refinements, each bisecting the two triangles nearest the origin."""
+    m = unit_square_mesh(2)
+    meshes = {"square": m, "uniform": refine_uniform(m)}
+    for k in range(1, 4):
+        centroids = m.vertices[m.triangles].mean(axis=1)
+        m = refine_marked(m, np.argsort(np.linalg.norm(centroids, axis=1))[:2])
+        meshes[f"marked{k}"] = m
+    return meshes
+
+
+GEOMETRY_MESHES = geometry_meshes()
+
+
+class TestMeshGeometry:
+    def test_basis_gradients_sum_to_zero(self):
+        m = unit_square_mesh(3)
+        assert np.abs(m.grad_lambda.sum(axis=1)).max() < 1e-13
+        # the CR basis gradients -2 grad(lambda_i)
+        assert np.abs((-2.0 * m.grad_lambda).sum(axis=1)).max() < 1e-13
+
+    def test_area_total(self):
+        m = unit_square_mesh(4)
+        assert m.areas.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("name", GEOMETRY_MESHES)
+    def test_areas_match_shoelace(self, name):
+        m = GEOMETRY_MESHES[name]
+        x, y = m.vertices[m.triangles].transpose(2, 0, 1)  # (nt, 3) each
+        shoelace = 0.5 * (x * np.roll(y, -1, axis=1)
+                          - np.roll(x, -1, axis=1) * y).sum(axis=1)
+        assert m.areas.shape == (m.n_triangles,)
+        assert np.abs(m.areas - shoelace).max() <= 1e-15 * shoelace.max()
+
+    @pytest.mark.parametrize("name", GEOMETRY_MESHES)
+    def test_grad_lambda_dual_to_edges(self, name):
+        # grad(lambda_i) . (x_j - x_k) = delta_ij - delta_ik
+        m = GEOMETRY_MESHES[name]
+        coords = m.vertices[m.triangles]
+        diff = coords[:, :, None, :] - coords[:, None, :, :]  # x_j - x_k
+        got = np.einsum("tid,tjkd->tijk", m.grad_lambda, diff)
+        eye = np.eye(3)
+        want = eye[:, :, None] - eye[:, None, :]
+        assert m.grad_lambda.shape == (m.n_triangles, 3, 2)
+        assert np.abs(got - want).max() < 1e-13
+
+    @pytest.mark.parametrize("field", ["areas", "grad_lambda"])
+    def test_read_only(self, field):
+        arr = getattr(refine_marked(unit_square_mesh(2), [0]), field)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 class TestExports:
     def test_svg_written(self, tmp_path):
         m = unit_square_mesh(2)

@@ -155,10 +155,15 @@ class TestNewtonSolve:
         assert checked >= 2
 
     def test_iteration_cap_returns_failure_with_state(self):
+        # one step at p = 3 from the converged p = 2 state: from the cold
+        # state the saddle matrix's condition number (about 5.6e10) puts the
+        # 1e-10 linear certificate below the floating-point floor
         _, _, _, factory = smooth_setup(2)
+        res2 = newton_solve(factory(2.0), cold_state(factory(2.0)),
+                            SolverOptions())
         forms = factory(3.0)
-        opts = SolverOptions(max_newton=1)
-        result = newton_solve(forms, cold_state(forms), opts)
+        warm = DiscreteState(res2.state.u, res2.state.r, 3.0)
+        result = newton_solve(forms, warm, SolverOptions(max_newton=1))
         assert not result.converged
         assert result.iterations == 1
         assert np.all(np.isfinite(result.state.u))

@@ -17,7 +17,6 @@ from plapminres.spaces import (
     broken_seminorm,
     build_space,
     gauss_jacobi_1_0,
-    geometry_of,
     triangle_rule,
 )
 from tests.oracles import (
@@ -129,17 +128,6 @@ class TestQuadRule:
                 assert abs(got - exact) <= 1e-12 * max(abs(exact), 1e-6)
 
 
-class TestElementGeometry:
-    def test_basis_gradients_sum_to_zero(self):
-        geo = geometry_of(unit_square_mesh(3))
-        assert np.abs(geo.grad_p1.sum(axis=1)).max() < 1e-13
-        assert np.abs(geo.grad_cr.sum(axis=1)).max() < 1e-13
-
-    def test_area_total(self):
-        geo = geometry_of(unit_square_mesh(4))
-        assert geo.areas.sum() == pytest.approx(1.0, abs=1e-14)
-
-
 class TestElementGradient:
     def test_zero_coeffs(self):
         m = unit_square_mesh(2)
@@ -220,14 +208,13 @@ class TestCrInterpolate:
         m = unit_square_mesh(2)
         dm = build_space(m, CR)
         coeffs = cr_interpolate(m, gauss_edge_mean(lambda x, y: x * x))
-        geo = geometry_of(m)
         g_pi = all_element_gradients(dm, coeffs)
         rule = triangle_rule(2)
-        pts = rule.physical_points(geo.tri_coords)  # (nt, nq, 2)
+        pts = rule.physical_points(m.vertices[m.triangles])  # (nt, nq, 2)
         # grad v = (2x, 0), integrated exactly by the degree-2 rule
-        gx = 2.0 * geo.areas * 2.0 * np.einsum("q,tq->t", rule.weights, pts[..., 0])
+        gx = 2.0 * m.areas * 2.0 * np.einsum("q,tq->t", rule.weights, pts[..., 0])
         mean_v = np.stack([gx, np.zeros_like(gx)], axis=1)
-        mean_pi = geo.areas[:, None] * g_pi
+        mean_pi = m.areas[:, None] * g_pi
         assert np.abs(mean_v - mean_pi).max() <= 1e-12
 
     def test_edge_means_match_evaluator(self):
