@@ -10,8 +10,9 @@ refinement strategies are supported:
   running the linear (p = 2) adaptive loop a fixed number of steps, then
   the study proceeds with uniform refinement.
 
-Each level builds its P1 and CR spaces and its load once; along the
-exponent only the Dirichlet data changes, and it lives in the forms.
+Each level builds its P1 and CR spaces, the saddle pattern of its Newton
+systems and its load once; its forms carry them, and only the Dirichlet
+data follows the exponent.
 Every level restarts the exponent continuation from p = 2 by default so
 iteration counts are comparable across levels; state transfer onto the
 refined mesh is available as an opt-in warm start.  A failed warm-start
@@ -48,6 +49,7 @@ from .estimate import (
     true_error,
 )
 from .forms import LoadSpec, NonlinearForms, assemble_load, local_indicators
+from .linsolve import saddle_pattern
 from .mesh import Mesh, export_svg, mesh_size, refine_marked, refine_uniform, unit_square_mesh
 from .newton import (
     ContinuationError,
@@ -138,16 +140,17 @@ class ProblemConfig:
 
 def _forms_factory(trial: DofMap, test: DofMap, load_free: np.ndarray,
                    sigma: float, x0):
-    """Factory over the exponent on one level's spaces and load.
+    """Factory over the exponent on one level's spaces, pattern and load.
 
     Only the Dirichlet data follows the exponent: the benchmark solution
     at that exponent, evaluated at the boundary vertices in one call.
     """
+    pattern = saddle_pattern(test, trial)
     boundary_points = trial.mesh.vertices[trial.constrained_dofs]
 
     def factory(p: float) -> NonlinearForms:
         values = ExactSolution(p, sigma, x0).value(boundary_points)
-        return NonlinearForms(p, trial, test, load_free, values)
+        return NonlinearForms(p, trial, test, pattern, load_free, values)
     return factory
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .forms import NonlinearForms, local_indicators
+from .forms import NonlinearForms
 from .spaces import (
     QUAD_CHUNK,
     DofMap,

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linsolve import SaddlePattern
 from .spaces import (
     CR,
     P1,
@@ -89,16 +90,18 @@ class LoadSpec:
 class NonlinearForms:
     """Bundle of everything one nonlinear solve needs.
 
-    The spaces and ``load_free`` (the load functional tested against the
-    free CR basis functions) depend on the mesh alone and are shared along
-    a continuation path.  ``dirichlet_values`` holds the trial function's
-    values at ``trial.constrained_dofs``: the only part of the problem
-    besides ``p`` that changes with the exponent.
+    The spaces, the saddle ``pattern`` of their Newton systems and
+    ``load_free`` (the load functional tested against the free CR basis
+    functions) depend on the mesh alone: they are built once per level and
+    shared along a continuation path.  ``dirichlet_values`` holds the
+    trial function's values at ``trial.constrained_dofs``: the only part
+    of the problem besides ``p`` that changes with the exponent.
     """
 
     p: float
     trial: DofMap
     test: DofMap
+    pattern: SaddlePattern
     load_free: np.ndarray
     dirichlet_values: np.ndarray
 
@@ -109,6 +112,8 @@ class NonlinearForms:
             raise FormsError("trial space must be P1 and test space CR")
         if self.trial.mesh is not self.test.mesh:
             raise FormsError("trial and test spaces must share one mesh")
+        if self.pattern.mesh is not self.trial.mesh:
+            raise FormsError("saddle pattern belongs to another mesh")
         if self.load_free.shape != (self.test.n_free,):
             raise FormsError("load vector does not match the free test DOFs")
         if self.dirichlet_values.shape != self.trial.constrained_dofs.shape:

@@ -12,12 +12,13 @@ and so does the way its entries depend on the nonlinearity: every entry
 of K is a fixed linear combination of five element weights per triangle
 (the two componentwise duality weights of G and the three entries of the
 symmetric operator tensor of B, see :mod:`plapminres.forms`).
-:func:`saddle_pattern` builds both once per mesh as a
-:class:`SaddlePattern`: the CSC structure of K and a sparse values map M
-with ``K.data = M @ w``, w holding the five weights of every element.  A
-Newton step fills K with that one sparse product; no element block is
-formed or scattered.  G entries that vanish for every exponent are left
-out of the pattern: stored zeros would add fill to the factorization.
+:func:`saddle_pattern` builds both as a :class:`SaddlePattern`: the CSC
+structure of K and a sparse values map M with ``K.data = M @ w``, w
+holding the five weights of every element.  The driver builds it once
+per level and the forms of every exponent carry it; a Newton step fills
+K with that one sparse product, and no element block is formed or
+scattered.  G entries that vanish for every exponent are left out of
+the pattern: stored zeros would add fill to the factorization.
 
 K is factored as a symmetric matrix with no off-diagonal pivoting
 (``diag_pivot_thresh=0``).  Its fill-reducing ordering, SuperLU's minimum
@@ -42,7 +43,6 @@ step as failed.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +77,7 @@ class LinearSolveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SaddlePattern:
-    """Fixed CSC structure of K = [[G, B], [B^T, 0]] on one mesh, and the
+    """Fixed CSC structure of K = [[G, B], [B^T, 0]] on ``mesh``, and the
     map from element weights to its values.
 
     Rows and columns are in elimination order: ``order[i]`` is the
@@ -92,6 +92,7 @@ class SaddlePattern:
     same order, so K is exactly symmetric.
     """
 
+    mesh: Mesh
     n_test: int
     n_trial: int
     indptr: np.ndarray
@@ -109,9 +110,12 @@ class SaddlePattern:
                              shape=(size, size))
 
 
-def _build_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
+def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     """Pattern and values map of K over the free DOFs of a CR test and a
-    P1 trial space.
+    P1 trial space on one mesh.
+
+    Both spaces constrain exactly the boundary DOFs of their mesh, so the
+    pattern depends on the mesh alone.
 
     On triangle t, the G entry of local test functions i, j weighs
     ``(d_k phi_i)(d_k phi_j)`` with duality weight k, and the B entry of
@@ -127,6 +131,8 @@ def _build_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     ``i``.  Should that factorization be refused, the COLAMD column order
     is used instead.
     """
+    if trial.mesh is not test.mesh:
+        raise ValueError("test and trial spaces must share one mesh")
     rows_t = test._free_index[element_dofs(test)]
     rows_u = trial._free_index[element_dofs(trial)]
     mesh = test.mesh
@@ -199,25 +205,7 @@ def _build_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
               order, values.data, values.indices, values.indptr)
     for arr in arrays:
         arr.setflags(write=False)
-    return SaddlePattern(n, m, arrays[0], arrays[1], values, order)
-
-
-_PATTERN_CACHE: "weakref.WeakKeyDictionary[Mesh, SaddlePattern]" = weakref.WeakKeyDictionary()
-
-
-def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
-    """Memoized :class:`SaddlePattern` of a CR test and a P1 trial space.
-
-    Both spaces constrain exactly the boundary DOFs of their mesh, so the
-    pattern depends on the mesh alone.
-    """
-    if trial.mesh is not test.mesh:
-        raise ValueError("test and trial spaces must share one mesh")
-    pattern = _PATTERN_CACHE.get(test.mesh)
-    if pattern is None:
-        pattern = _build_pattern(test, trial)
-        _PATTERN_CACHE[test.mesh] = pattern
-    return pattern
+    return SaddlePattern(mesh, n, m, arrays[0], arrays[1], values, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,16 +224,16 @@ class SaddleSystem:
     order: np.ndarray
 
 
-def assemble_saddle(test: DofMap, trial: DofMap, G_weights, B_weights,
+def assemble_saddle(pattern: SaddlePattern, G_weights, B_weights,
                     rhs_top, rhs_bottom) -> SaddleSystem:
-    """Assemble K = [[G, B], [B^T, 0]] over the free DOFs of both spaces.
+    """Assemble K = [[G, B], [B^T, 0]] on the given pattern.
 
     ``G_weights`` (nt, 2) are the area-weighted componentwise weights of
     the duality-map Hessian and ``B_weights`` (nt, 3) the area-weighted
     operator tensor entries (A_00, A_01, A_11) of the operator Jacobian,
     as returned by :mod:`plapminres.forms`.
     """
-    nt = test.mesh.n_triangles
+    nt = pattern.mesh.n_triangles
     G_weights = np.asarray(G_weights, dtype=float)
     B_weights = np.asarray(B_weights, dtype=float)
     rhs_top = np.asarray(rhs_top, dtype=float)
@@ -253,7 +241,6 @@ def assemble_saddle(test: DofMap, trial: DofMap, G_weights, B_weights,
     if G_weights.shape != (nt, 2) or B_weights.shape != (nt, 3):
         raise ValueError(f"element weights must have shapes ({nt}, 2) and "
                          f"({nt}, 3)")
-    pattern = saddle_pattern(test, trial)
     if rhs_top.shape != (pattern.n_test,) or rhs_bottom.shape != (pattern.n_trial,):
         raise ValueError("right-hand side blocks do not match the free DOFs")
     rhs = np.empty(pattern.n_test + pattern.n_trial)

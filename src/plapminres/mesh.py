@@ -369,7 +369,7 @@ def export_vtk(m: Mesh, path) -> None:
         fh.write("plapminres triangulation\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {m.n_vertices} double\n")
-        for x, y in m.vertices:
+        for x, y in m.vertices.tolist():
             fh.write(f"{x!r} {y!r} 0.0\n")
         fh.write(f"CELLS {m.n_triangles} {4 * m.n_triangles}\n")
         for a, b, c in m.triangles:

@@ -218,7 +218,7 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
 
     for iteration in range(1, opts.max_newton + 1):
         G = assemble_duality_jacobian(forms, res.g_r)
-        system = assemble_saddle(test, trial, G, res.B, res.top, res.bottom)
+        system = assemble_saddle(forms.pattern, G, res.B, res.top, res.bottom)
         try:
             dr, du, lin_res, fell_back = solve_symmetric_indefinite(
                 system, opts.linear_rel_tol)

@@ -26,6 +26,7 @@ from plapminres.forms import (
     assemble_load,
     local_indicators,
 )
+from plapminres.linsolve import saddle_pattern
 from plapminres.mesh import refine_marked, refine_uniform, unit_square_mesh
 from plapminres.newton import SolverOptions, cold_state, continuation_solve, newton_solve
 from plapminres.spaces import (
@@ -74,7 +75,8 @@ class TestCriterion1PoissonOracle:
         es = ExactSolution(2.0, 0.97, (-1.0, -1.0))
         trial = build_space(mesh, P1)
         boundary = es.value(mesh.vertices[trial.constrained_dofs])
-        forms = NonlinearForms(2.0, trial, test, load_free, boundary)
+        forms = NonlinearForms(2.0, trial, test, saddle_pattern(test, trial),
+                               load_free, boundary)
         result = newton_solve(forms, cold_state(forms), SolverOptions())
         assert result.converged
         u_ref = p1_poisson_galerkin(mesh, boundary, load_free, test)
@@ -139,10 +141,11 @@ class TestCriterion4AdaptiveTracking:
             test = build_space(mesh, CR)
             load_free = assemble_load(load, test, triangle_rule(10))
             boundary = mesh.vertices[trial.constrained_dofs]
+            pattern = saddle_pattern(test, trial)
 
             def factory(p):
                 return NonlinearForms(
-                    p, trial, test, load_free,
+                    p, trial, test, pattern, load_free,
                     ExactSolution(p, sigma, x0).value(boundary))
 
             state, itlog = continuation_solve(p_target, factory, opts)
@@ -190,11 +193,13 @@ class TestCriterion5PropertySuite:
         mesh = unit_square_mesh(3)
         trial = build_space(mesh, P1)
         test = build_space(mesh, CR)
+        pattern = saddle_pattern(test, trial)
         load_free = np.zeros(test.n_free)
         boundary = np.zeros(trial.constrained_dofs.size)
         checked = 0
         for p in (1.3, 1.5, 2.0, 2.5, 3.0):
-            forms = NonlinearForms(p, trial, test, load_free, boundary)
+            forms = NonlinearForms(p, trial, test, pattern, load_free,
+                                   boundary)
             for _ in range(100):
                 u = np.zeros(trial.n_total)
                 w = np.zeros(trial.n_total)
@@ -214,12 +219,14 @@ class TestCriterion5PropertySuite:
         mesh = unit_square_mesh(3)
         trial = build_space(mesh, P1)
         test = build_space(mesh, CR)
+        pattern = saddle_pattern(test, trial)
         load_free = np.zeros(test.n_free)
         boundary = np.zeros(trial.constrained_dofs.size)
         exponents = (1.5, 2.0, 3.0)
         for k in range(100):
             p = exponents[k % len(exponents)]
-            forms = NonlinearForms(p, trial, test, load_free, boundary)
+            forms = NonlinearForms(p, trial, test, pattern, load_free,
+                                   boundary)
             r = np.zeros(test.n_total)
             r[test.free_dofs] = rng.standard_normal(test.n_free)
             g_r = all_element_gradients(test, r)
@@ -295,7 +302,8 @@ class TestCriterion5PropertySuite:
         mesh = unit_square_mesh(3)
         trial = build_space(mesh, P1)
         test = build_space(mesh, CR)
-        forms = NonlinearForms(p, trial, test, np.zeros(test.n_free),
+        forms = NonlinearForms(p, trial, test, saddle_pattern(test, trial),
+                               np.zeros(test.n_free),
                                np.zeros(trial.constrained_dofs.size))
         h = 1e-5
         base_u = p1_interpolate(mesh, lambda x, y: x + 0.6 * y)

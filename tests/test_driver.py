@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from plapminres import driver, linsolve, newton
+from plapminres import driver, newton
 from plapminres.driver import ProblemConfig, pre_adapt_mesh, run_study, transfer_state
 from plapminres.estimate import ExactSolution, estimator_global, true_error
 from plapminres.forms import LoadSpec, assemble_load
@@ -350,18 +350,20 @@ class TestIndependentLevels:
                       max_levels=3),
     ], ids=["uniform_p3", "pre_adapted_p1.5"])
     def test_equals_level_by_level_solves(self, tmp_path, monkeypatch, cfg):
-        real = linsolve._build_pattern
+        real = driver.saddle_pattern
         meshes = []
 
         def counted(test, trial):
             meshes.append(test.mesh)
             return real(test, trial)
 
-        monkeypatch.setattr(linsolve, "_build_pattern", counted)
+        monkeypatch.setattr(driver, "saddle_pattern", counted)
         out = tmp_path / "study"
         records = run_study(replace(cfg, output_dir=str(out)))
-        # the pre-adaptation solves add their own meshes
-        assert len(meshes) >= cfg.max_levels
+        # one pattern per mesh; the pre-adaptation solves add their own
+        n_pre = (cfg.pre_adapt_steps
+                 if cfg.strategy == "pre_adapted_then_uniform" else 0)
+        assert len(meshes) == cfg.max_levels + n_pre
         assert len({id(mesh) for mesh in meshes}) == len(meshes)
 
         start = unit_square_mesh(cfg.initial_n)

@@ -13,6 +13,7 @@ from plapminres.estimate import (
     true_error,
 )
 from plapminres.forms import LoadSpec, NonlinearForms, assemble_load, local_indicators
+from plapminres.linsolve import saddle_pattern
 from plapminres.mesh import refine_uniform, unit_square_mesh
 from plapminres.spaces import (
     CR,
@@ -34,7 +35,7 @@ def make_forms(mesh, p):
     trial = build_space(mesh, P1)
     test = build_space(mesh, CR)
     load = LoadSpec(sigma=0.0)  # f = 1
-    return NonlinearForms(p, trial, test,
+    return NonlinearForms(p, trial, test, saddle_pattern(test, trial),
                           assemble_load(load, test, triangle_rule(2)),
                           np.zeros(trial.constrained_dofs.size))
 

@@ -10,6 +10,7 @@ from plapminres.forms import (
     assemble_load,
     local_indicators,
 )
+from plapminres.linsolve import saddle_pattern
 from plapminres.mesh import unit_square_mesh
 from plapminres.spaces import (
     CR,
@@ -35,8 +36,8 @@ def make_forms(mesh, p, load=None, quad_degree=4):
     if load is None:
         load = LoadSpec(sigma=0.0)  # f = 1
     load_free = assemble_load(load, test, triangle_rule(quad_degree))
-    return NonlinearForms(p, trial, test, load_free,
-                          np.zeros(trial.constrained_dofs.size))
+    return NonlinearForms(p, trial, test, saddle_pattern(test, trial),
+                          load_free, np.zeros(trial.constrained_dofs.size))
 
 
 def stiffness_action_oracle(forms, coeffs, kind):
@@ -76,8 +77,19 @@ class TestNonlinearForms:
         trial = build_space(mesh, P1)
         test = build_space(mesh, CR)
         with pytest.raises(FormsError, match="Dirichlet"):
-            NonlinearForms(2.0, trial, test, np.zeros(test.n_free),
-                           np.zeros(shape(trial)))
+            NonlinearForms(2.0, trial, test, saddle_pattern(test, trial),
+                           np.zeros(test.n_free), np.zeros(shape(trial)))
+
+    def test_rejects_pattern_of_another_mesh(self):
+        # both meshes have the same sizes: only the identity check sees it
+        mesh, other = unit_square_mesh(2), unit_square_mesh(2)
+        trial = build_space(mesh, P1)
+        test = build_space(mesh, CR)
+        pattern = saddle_pattern(build_space(other, CR),
+                                 build_space(other, P1))
+        with pytest.raises(FormsError, match="another mesh"):
+            NonlinearForms(2.0, trial, test, pattern, np.zeros(test.n_free),
+                           np.zeros(trial.constrained_dofs.size))
 
 
 class TestApplyOperator:

@@ -15,6 +15,7 @@ from plapminres.linsolve import (
     LinearSolveError,
     SaddleSystem,
     assemble_saddle,
+    saddle_pattern,
     solve_symmetric_indefinite,
 )
 from plapminres.mesh import refine_marked, unit_square_mesh
@@ -52,17 +53,18 @@ MESHES = {"uniform": lambda: unit_square_mesh(4), "graded": graded_mesh}
 
 
 def newton_weights(mesh, p, seed=0):
-    """Spaces and random-state Jacobian element weights on a mesh."""
+    """Forms and random-state Jacobian element weights on a mesh."""
     rng = np.random.default_rng(seed)
     test = build_space(mesh, CR)
     trial = build_space(mesh, P1)
-    forms = NonlinearForms(p, trial, test, np.zeros(test.n_free),
+    forms = NonlinearForms(p, trial, test, saddle_pattern(test, trial),
+                           np.zeros(test.n_free),
                            np.zeros(trial.constrained_dofs.size))
     G = assemble_duality_jacobian(forms, all_element_gradients(
         test, rng.standard_normal(test.n_total)))
     B = assemble_operator_jacobian(forms, all_element_gradients(
         trial, rng.standard_normal(trial.n_total)))
-    return test, trial, G, B
+    return forms, G, B
 
 
 def stored_entries(A):
@@ -70,10 +72,10 @@ def stored_entries(A):
     return set(zip(A.row.tolist(), A.col.tolist()))
 
 
-def assemble(test, trial, G, B):
+def assemble(forms, G, B):
     """K of the element weights, read back in the natural order."""
-    system = assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
-                             np.zeros(trial.n_free))
+    system = assemble_saddle(forms.pattern, G, B, np.zeros(forms.test.n_free),
+                             np.zeros(forms.trial.n_free))
     order = system.order
     return system.K[order][:, order]
 
@@ -109,9 +111,9 @@ class TestAssembleSaddle:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("kind", sorted(MESHES))
     def test_pattern_matches_reference_assembly(self, kind, p):
-        test, trial, G, B = newton_weights(MESHES[kind](), p)
-        K = assemble(test, trial, G, B)
-        want = reference_saddle_matrix(G, B, test, trial)
+        forms, G, B = newton_weights(MESHES[kind](), p)
+        K = assemble(forms, G, B)
+        want = reference_saddle_matrix(G, B, forms.test, forms.trial)
         # the reference also drops the G entries that cancel to zero; away
         # from p = 2 those are exactly the ones the pattern leaves out
         assert stored_entries(K) >= stored_entries(want)
@@ -124,11 +126,11 @@ class TestAssembleSaddle:
     @pytest.mark.parametrize("k", range(5))
     def test_weight_layout(self, k):
         mesh = graded_mesh()
-        test, trial, _, _ = newton_weights(mesh, 2.0)
+        forms, _, _ = newton_weights(mesh, 2.0)
         weights = np.zeros((mesh.n_triangles, 5))
         weights[:, k] = 1.0
-        K = assemble(test, trial, weights[:, :2], weights[:, 2:]).toarray()
-        want = loop_weight_matrix(mesh, test, trial, k)
+        K = assemble(forms, weights[:, :2], weights[:, 2:]).toarray()
+        want = loop_weight_matrix(mesh, forms.test, forms.trial, k)
         assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_symmetry(self):
@@ -136,31 +138,35 @@ class TestAssembleSaddle:
         assert abs(K - K.T).max() == 0.0
 
     def test_block_recovery(self):
-        test, trial, G, B = newton_weights(graded_mesh(), 2.5)
-        K = assemble(test, trial, G, B)
-        want = reference_saddle_matrix(G, B, test, trial)
-        n = test.n_free
+        forms, G, B = newton_weights(graded_mesh(), 2.5)
+        K = assemble(forms, G, B)
+        want = reference_saddle_matrix(G, B, forms.test, forms.trial)
+        n = forms.test.n_free
         scale = np.abs(want[:n, n:]).max()
         # the values map and the element blocks round differently
         assert np.abs(K[:n, n:] - want[:n, n:]).max() <= 1e-14 * scale
 
     def test_trailing_block_zero(self):
-        test, trial, G, B = newton_weights(unit_square_mesh(3), 1.5)
-        K = assemble(test, trial, G, B)
-        n = test.n_free
+        forms, G, B = newton_weights(unit_square_mesh(3), 1.5)
+        K = assemble(forms, G, B)
+        n = forms.test.n_free
         assert K[n:, n:].nnz == 0
 
     def test_dimension_mismatch(self):
-        test, trial, G, B = newton_weights(unit_square_mesh(2), 2.0)
+        forms, G, B = newton_weights(unit_square_mesh(2), 2.0)
+        pattern, n, m = forms.pattern, forms.test.n_free, forms.trial.n_free
         with pytest.raises(ValueError):
-            assemble_saddle(test, trial, G[1:], B, np.zeros(test.n_free),
-                            np.zeros(trial.n_free))
+            assemble_saddle(pattern, G[1:], B, np.zeros(n), np.zeros(m))
         with pytest.raises(ValueError):
-            assemble_saddle(test, trial, B, G, np.zeros(test.n_free),
-                            np.zeros(trial.n_free))
+            assemble_saddle(pattern, B, G, np.zeros(n), np.zeros(m))
         with pytest.raises(ValueError):
-            assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
-                            np.zeros(trial.n_free + 1))
+            assemble_saddle(pattern, G, B, np.zeros(n), np.zeros(m + 1))
+
+    def test_pattern_rejects_spaces_of_two_meshes(self):
+        test = build_space(unit_square_mesh(2), CR)
+        trial = build_space(unit_square_mesh(2), P1)
+        with pytest.raises(ValueError, match="share one mesh"):
+            saddle_pattern(test, trial)
 
 
 class TestSolve:
@@ -223,9 +229,10 @@ class TestOrdering:
     the pattern; every Newton step factors K in that order."""
 
     def test_fill_matches_fresh_minimum_degree(self):
-        test, trial, G, B = newton_weights(unit_square_mesh(8), 1.5)
-        system = assemble_saddle(test, trial, G, B, np.zeros(test.n_free),
-                                 np.zeros(trial.n_free))
+        forms, G, B = newton_weights(unit_square_mesh(8), 1.5)
+        system = assemble_saddle(forms.pattern, G, B,
+                                 np.zeros(forms.test.n_free),
+                                 np.zeros(forms.trial.n_free))
         order = system.order
         assert np.array_equal(np.sort(order), np.arange(order.size))
         baked = spla.splu(system.K, **linsolve._SYMMETRIC_LU)
@@ -239,17 +246,18 @@ class TestOrdering:
         test, trial = build_space(mesh, CR), build_space(mesh, P1)
         fake = _FailingSymmetricSpla(linsolve.spla, mode=None)
         monkeypatch.setattr(linsolve, "spla", fake)
-        pattern = linsolve.saddle_pattern(test, trial)
+        pattern = saddle_pattern(test, trial)
         monkeypatch.undo()
         [K2] = fake.matrices
         default = spla.splu(K2, **superlu_defaults(linsolve._ORDERING_LU))
         assert np.array_equal(default.perm_c, pattern.order)
 
     def test_kernel_settings_store_no_more_fill(self):
-        test, trial, G, B = newton_weights(graded_mesh(), 1.5)
+        forms, G, B = newton_weights(graded_mesh(), 1.5)
         rng = np.random.default_rng(12)
-        system = assemble_saddle(test, trial, G, B, rng.standard_normal(test.n_free),
-                                 rng.standard_normal(trial.n_free))
+        system = assemble_saddle(forms.pattern, G, B,
+                                 rng.standard_normal(forms.test.n_free),
+                                 rng.standard_normal(forms.trial.n_free))
         tuned = spla.splu(system.K, **linsolve._SYMMETRIC_LU)
         default = spla.splu(system.K, **superlu_defaults(linsolve._SYMMETRIC_LU))
         assert tuned.nnz <= default.nnz
@@ -257,29 +265,30 @@ class TestOrdering:
         assert rel <= 1e-10 and not fell_back
 
     def test_graded_solve_certified_in_natural_order(self):
-        test, trial, G, B = newton_weights(graded_mesh(), 1.5)
+        forms, G, B = newton_weights(graded_mesh(), 1.5)
         rng = np.random.default_rng(10)
-        top = rng.standard_normal(test.n_free)
-        bottom = rng.standard_normal(trial.n_free)
-        system = assemble_saddle(test, trial, G, B, top, bottom)
+        top = rng.standard_normal(forms.test.n_free)
+        bottom = rng.standard_normal(forms.trial.n_free)
+        system = assemble_saddle(forms.pattern, G, B, top, bottom)
         dr, du, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
         assert not fell_back and rel <= 1e-10
-        K = reference_saddle_matrix(G, B, test, trial)
+        K = reference_saddle_matrix(G, B, forms.test, forms.trial)
         rhs = np.concatenate([top, bottom])
         residual = rhs - K @ np.concatenate([dr, du])
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_refused_ordering_call_takes_colamd_order(self, monkeypatch):
-        test, trial, G, B = newton_weights(graded_mesh(), 1.5)
+        forms, G, B = newton_weights(graded_mesh(), 1.5)
         fake = _FailingSymmetricSpla(linsolve.spla, "raise")
         monkeypatch.setattr(linsolve, "spla", fake)
-        pattern = linsolve.saddle_pattern(test, trial)
+        pattern = saddle_pattern(forms.test, forms.trial)
         assert fake.calls == ["symmetric", "general"]
         monkeypatch.undo()
         assert np.array_equal(np.sort(pattern.order), np.arange(pattern.order.size))
         rng = np.random.default_rng(11)
-        system = assemble_saddle(test, trial, G, B, rng.standard_normal(test.n_free),
-                                 rng.standard_normal(trial.n_free))
+        system = assemble_saddle(pattern, G, B,
+                                 rng.standard_normal(forms.test.n_free),
+                                 rng.standard_normal(forms.trial.n_free))
         *_, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
         assert rel <= 1e-10 and not fell_back
 
@@ -322,10 +331,11 @@ class _PerturbedLU:
 
 
 def random_rhs_system(seed):
-    test, trial, G, B = newton_weights(graded_mesh(), 1.5)
+    forms, G, B = newton_weights(graded_mesh(), 1.5)
     rng = np.random.default_rng(seed)
-    return assemble_saddle(test, trial, G, B, rng.standard_normal(test.n_free),
-                           rng.standard_normal(trial.n_free))
+    return assemble_saddle(forms.pattern, G, B,
+                           rng.standard_normal(forms.test.n_free),
+                           rng.standard_normal(forms.trial.n_free))
 
 
 def _reject_constant(name):
@@ -369,11 +379,11 @@ class TestFallback:
         mesh = unit_square_mesh(3)
         test = build_space(mesh, CR)
         trial = build_space(mesh, P1)
-        forms = NonlinearForms(2.5, trial, test, np.ones(test.n_free),
-                               np.zeros(trial.constrained_dofs.size))
-        # the mesh's ordering call runs unpatched; only the per-step
+        # the forms' pattern is built unpatched; only the per-step
         # factorizations fail
-        linsolve.saddle_pattern(test, trial)
+        forms = NonlinearForms(2.5, trial, test, saddle_pattern(test, trial),
+                               np.ones(test.n_free),
+                               np.zeros(trial.constrained_dofs.size))
         monkeypatch.setattr(linsolve, "spla", _FailingSymmetricSpla(
             linsolve.spla, "raise", fail_general))
         result = newton_solve(forms, cold_state(forms), SolverOptions())

@@ -284,12 +284,19 @@ class TestExports:
         assert path.read_bytes() == expected
 
     def test_vtk_roundtrip_counts(self, tmp_path):
-        m = unit_square_mesh(3)
+        m = unit_square_mesh(3)  # coordinates in thirds, then their midpoints
+        for _ in range(2):
+            m = refine_marked(m, np.arange(0, m.n_triangles, 2))
         path = tmp_path / "mesh.vtk"
         export_vtk(m, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# vtk DataFile")
-        points_line = next(l for l in lines if l.startswith("POINTS"))
-        assert int(points_line.split()[1]) == m.n_vertices
+        start = next(i for i, l in enumerate(lines) if l.startswith("POINTS"))
+        assert int(lines[start].split()[1]) == m.n_vertices
+        points = np.array([[float(v) for v in row.split()]
+                           for row in lines[start + 1:start + 1 + m.n_vertices]])
+        assert points.shape == (m.n_vertices, 3)
+        assert np.array_equal(points[:, :2], m.vertices)
+        assert not points[:, 2].any()
         cells_line = next(l for l in lines if l.startswith("CELLS"))
         assert int(cells_line.split()[1]) == m.n_triangles

@@ -16,6 +16,7 @@ from plapminres.forms import (
     assemble_load,
     assemble_operator_jacobian,
 )
+from plapminres.linsolve import saddle_pattern
 from plapminres.mesh import refine_marked, unit_square_mesh
 from plapminres.newton import (
     ContinuationError,
@@ -54,9 +55,10 @@ def smooth_setup(n):
     load_free = assemble_load(LoadSpec(sigma=SIGMA, x0=X0), test,
                               triangle_rule(10))
     boundary = mesh.vertices[trial.constrained_dofs]
+    pattern = saddle_pattern(test, trial)
 
     def factory(p):
-        return NonlinearForms(p, trial, test, load_free,
+        return NonlinearForms(p, trial, test, pattern, load_free,
                               ExactSolution(p, SIGMA, X0).value(boundary))
 
     return mesh, test, load_free, factory
@@ -67,7 +69,8 @@ class TestNonlinearResidual:
         mesh = unit_square_mesh(2)
         test = build_space(mesh, CR)
         trial = build_space(mesh, P1)
-        forms = NonlinearForms(2.5, trial, test, np.zeros(test.n_free),
+        forms = NonlinearForms(2.5, trial, test, saddle_pattern(test, trial),
+                               np.zeros(test.n_free),
                                np.zeros(trial.constrained_dofs.size))
         state = DiscreteState(np.zeros(trial.n_total),
                               np.zeros(test.n_total), 2.5)
@@ -118,7 +121,8 @@ class TestNonlinearResidual:
             for _ in range(3):
                 mesh = refine_marked(mesh, np.arange(0, mesh.n_triangles, 3))
         trial, test = build_space(mesh, P1), build_space(mesh, CR)
-        forms = NonlinearForms(p, trial, test, rng.standard_normal(test.n_free),
+        forms = NonlinearForms(p, trial, test, saddle_pattern(test, trial),
+                               rng.standard_normal(test.n_free),
                                rng.standard_normal(trial.constrained_dofs.size))
         u = rng.standard_normal(trial.n_total)
         r = np.zeros(test.n_total)
@@ -194,9 +198,10 @@ class TestGradientReuse:
         test = build_space(mesh, CR)
         load_free = assemble_load(LoadSpec(sigma=SIGMA, x0=(0.0, 0.0)), test,
                                   triangle_rule(10))
-        boundary = mesh.vertices[trial.constrained_dofs]
-        forms = NonlinearForms(1.5, trial, test, load_free, ExactSolution(
-            1.5, SIGMA, (0.0, 0.0)).value(boundary))
+        boundary = ExactSolution(1.5, SIGMA, (0.0, 0.0)).value(
+            mesh.vertices[trial.constrained_dofs])
+        forms = NonlinearForms(1.5, trial, test, saddle_pattern(test, trial),
+                               load_free, boundary)
         calls = Counter()
 
         def counted(name, fn):
