@@ -333,17 +333,16 @@ def transfer_state(state: DiscreteState, old_trial: DofMap, old_test: DofMap,
     residual representative is re-interpolated in the CR sense: each new
     edge receives the value of the old broken function at its midpoint,
     evaluated on the parent element and averaged across the adjacent new
-    elements.  Without genealogy the transfer falls back to the zero
-    state, whose Dirichlet values the Newton solve then clamps in.
+    elements.  On the same mesh the state is returned as it is.  Raises
+    ``ValueError`` for a mesh without genealogy, which is no refinement.
     """
     old_mesh = old_trial.mesh
     new_mesh = new_trial.mesh
     if new_mesh is old_mesh:
-        return DiscreteState(state.u.copy(), state.r.copy(), state.p_current)
+        return state
     if np.any(new_mesh.parent < 0):
-        log.warning("missing genealogy; warm start from zero interior state")
-        return DiscreteState(np.zeros(new_trial.n_total),
-                             np.zeros(new_test.n_total), state.p_current)
+        raise ValueError("target mesh has no genealogy: it is not a "
+                         "refinement of the state's mesh")
 
     parents = new_mesh.vertex_parents
     u_new = 0.5 * (state.u[parents[:, 0]] + state.u[parents[:, 1]])
@@ -363,7 +362,7 @@ def transfer_state(state: DiscreteState, old_trial: DofMap, old_test: DofMap,
     r_new[new_test.constrained_dofs] = 0.0
     # boundary trial values stay prolonged; the Newton solve clamps them to
     # the target problem's Dirichlet data anyway
-    return DiscreteState(u_new, r_new, state.p_current)
+    return DiscreteState(u_new, r_new)
 
 
 class _ArtifactWriter:

@@ -32,11 +32,12 @@ unrelaxed supernodes (``panel_size=1, relax=1``): its defaults are tuned
 for large matrices with wide supernodes, and on these 2D saddle systems
 they cost per-panel overhead, and relaxed supernodes store explicit
 zeros.  Every solution is re-verified against K and polished by up to
-two iterative-refinement sweeps until it meets the requested relative
-residual.  Static pivoting can break down on the zero (2, 2) block, so
-when that factorization raises or misses the residual, the system is
-factored once more with a COLAMD column ordering and partial pivoting,
-under the same certificate.  Only when that fails too is
+two iterative-refinement sweeps until its relative residual or its
+normwise backward error meets the requested tolerance.  Static pivoting
+can break down on the zero (2, 2) block, so when that factorization
+raises or misses the certificate, the system is factored once more with
+a COLAMD column ordering and partial pivoting, under the same
+certificate.  Only when that fails too is
 :class:`LinearSolveError` raised, so the nonlinear driver can treat the
 step as failed.
 """
@@ -249,36 +250,42 @@ def assemble_saddle(pattern: SaddlePattern, G_weights, B_weights,
                         pattern.n_test, pattern.order)
 
 
+def _backward_error(K, x, residual, rhs) -> float:
+    """Normwise backward error ||b - Kx|| / (||K|| ||x|| + ||b||) in the
+    infinity norm, small after a stable factorization even where the
+    relative residual is not; ||K|| is its largest column sum (K = K^T)."""
+    return float(np.abs(residual).max()) / (
+        float(abs(K).sum(axis=0).max()) * float(np.abs(x).max())
+        + float(np.abs(rhs).max()))
+
+
 def _certified_solve(K, rhs, rel_tol: float, factor_options: dict):
-    """Factor K, solve and refine; returns ``(x, rel_residual)``."""
+    """Factor K, solve and refine until the relative residual or the
+    backward error meets ``rel_tol``; returns ``(x, rel_residual)``."""
     rhs_norm = float(np.linalg.norm(rhs))
     try:
         lu = spla.splu(K, **factor_options)
     except RuntimeError as exc:  # SuperLU reports exact singularity
         raise LinearSolveError(str(exc), np.inf) from exc
     x = lu.solve(rhs)
-    residual = rhs - K @ x
-    rel = float(np.linalg.norm(residual)) / rhs_norm
     # one or two refinement sweeps recover the certificate when the
-    # factorization alone falls short on ill-conditioned systems
-    for _ in range(2):
-        if rel <= rel_tol:
-            break
-        x = x + lu.solve(residual)
+    # factorization alone falls short
+    for sweep in range(3):
         residual = rhs - K @ x
         rel = float(np.linalg.norm(residual)) / rhs_norm
-
-    if not np.isfinite(rel) or rel > rel_tol:
-        raise LinearSolveError("saddle-point solve failed", rel)
-    return x, rel
+        if rel <= rel_tol or _backward_error(K, x, residual, rhs) <= rel_tol:
+            return x, rel
+        if sweep < 2:
+            x = x + lu.solve(residual)
+    raise LinearSolveError("saddle-point solve failed", rel)
 
 
 def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10):
-    """Solve the saddle system to the requested relative residual.
+    """Solve the saddle system and certify the solution at ``rel_tol``.
 
     Returns ``(dr, du, rel_residual, fell_back)``: the two blocks in the
-    natural order of the unknowns, the residual certificate that was
-    actually achieved, and whether the symmetric factorization
+    natural order of the unknowns, their relative residual (the backward
+    error may certify instead), and whether the symmetric factorization
     was refused and the COLAMD fallback produced the solution.  Raises
     :class:`LinearSolveError` only after both factorizations failed.
     Deterministic for fixed inputs.

@@ -14,10 +14,11 @@ element weights and fluxes per triangle (see :mod:`plapminres.forms`), so
 a line-search trial forms no element matrix.  Updates are
 damped by a backtracking line search on the Euclidean norm of the
 concatenated nonlinear residual: the step is halved until that norm does
-not increase.  If it still increases after the maximum number of
-halvings, the candidate with the smallest norm is accepted anyway, so an
-accepted step can increase the residual.  Every step that needed a
-halving, this one included, is counted as a damping event.
+not increase, so no accepted step increases the residual, and a step
+that needed a halving is a damping event.  A search that runs out of
+halvings ends the solve unconverged at the last accepted iterate, its
+iteration counted with a damping event; so does, uncounted, a linear
+solve that cannot be certified.
 
 Convergence is declared when the undamped increment, measured as the sum
 of the two broken seminorms at the current exponent, drops below the
@@ -63,11 +64,10 @@ class ContinuationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteState:
-    """Full coefficient vectors of one (mesh, p) iterate."""
+    """Full coefficient vectors of one iterate on one mesh."""
 
     u: np.ndarray
     r: np.ndarray
-    p_current: float
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.r))):
@@ -119,12 +119,13 @@ class SolverOptions:
 class NewtonResult:
     """Outcome of one fixed-exponent Newton solve; one telemetry line.
 
-    ``state`` is the last iterate, at the exponent of the solve, and
-    ``final_increment`` is None (JSON null) if no step was taken.
+    ``state`` is the last accepted iterate at exponent ``p``, and
+    ``final_increment`` is None (JSON null) if no step was accepted.
     ``linear_fallbacks`` counts the linear solves whose symmetric
     factorization was refused (see :mod:`plapminres.linsolve`).
     """
 
+    p: float
     state: DiscreteState
     iterations: int
     damping_events: int
@@ -132,10 +133,6 @@ class NewtonResult:
     final_increment: float | None
     history: list[dict]
     linear_fallbacks: int
-
-    @property
-    def p(self) -> float:
-        return self.state.p_current
 
     def as_json(self, **extra) -> str:
         payload = dict(extra)
@@ -198,8 +195,9 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
                  opts: SolverOptions) -> NewtonResult:
     """Damped Newton iteration at a fixed exponent.
 
-    Returns a :class:`NewtonResult`; on iteration cap or linear-solve
-    failure ``converged`` is False and ``state`` carries the best iterate.
+    Returns a :class:`NewtonResult`; on iteration cap, exhausted line
+    search or linear-solve failure ``converged`` is False and ``state``
+    carries the last accepted iterate.
     """
     trial, test = forms.trial, forms.test
     u = state_init.u.copy()
@@ -207,14 +205,14 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
     # clamp the constrained entries to the data of this problem
     u[trial.constrained_dofs] = forms.dirichlet_values
     r[test.constrained_dofs] = 0.0
-    state = DiscreteState(u, r, forms.p)
+    state = DiscreteState(u, r)
     res = nonlinear_residual(forms, state)
     res_floor = 1e-12 * (1.0 + float(np.linalg.norm(forms.load_free)))
 
     history: list[dict] = []
-    damping_events = 0
-    fallbacks = 0
+    iterations = damping_events = fallbacks = 0
     increment = None
+    converged = False
 
     for iteration in range(1, opts.max_newton + 1):
         G = assemble_duality_jacobian(forms, res.g_r)
@@ -224,51 +222,50 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
                 system, opts.linear_rel_tol)
         except LinearSolveError as exc:
             # raised only after the symmetric factorization was refused
-            history.append({"iteration": iteration, "error": str(exc)})
-            return NewtonResult(state, iteration - 1, damping_events, False,
-                                increment, history, fallbacks + 1)
+            history.append({"error": str(exc)})
+            fallbacks += 1
+            break
         fallbacks += fell_back
+        iterations = iteration
+        dr = test.full_from_free(dr)
+        du = trial.full_from_free(du)
 
         alpha = 1.0
         damped = False
-        best = None
         for _ in range(opts.max_backtracks + 1):
-            u_try = state.u.copy()
-            r_try = state.r.copy()
-            u_try[trial.free_dofs] += alpha * du
-            r_try[test.free_dofs] += alpha * dr
-            state_try = DiscreteState(u_try, r_try, forms.p)
+            state_try = DiscreteState(state.u + alpha * du,
+                                      state.r + alpha * dr)
             res_try = nonlinear_residual(forms, state_try)
-            if best is None or res_try.norm < best[1].norm:
-                best = (state_try, res_try)
             if res_try.norm <= res.norm:
                 break
             damped = True
             alpha *= opts.backtrack_factor
-        if damped:
-            damping_events += 1
-        state, res = best
+        damping_events += damped
+        if not res_try.norm <= res.norm:  # also when the norm is NaN
+            history.append({"linear_residual": lin_res,
+                            "error": "line search exhausted"})
+            break
+        state, res = state_try, res_try
 
-        g_dr = all_element_gradients(test, test.full_from_free(dr))
-        g_du = all_element_gradients(trial, trial.full_from_free(du))
+        g_dr = all_element_gradients(test, dr)
+        g_du = all_element_gradients(trial, du)
         increment = (broken_seminorm(test, g_dr, forms.p)
                      + broken_seminorm(trial, g_du, forms.p))
-        history.append({"iteration": iteration, "increment": increment,
-                        "residual": res.norm, "damped": damped,
+        history.append({"increment": increment, "residual": res.norm,
                         "linear_residual": lin_res})
 
         if increment < opts.newton_tol or res.norm <= res_floor:
-            return NewtonResult(state, iteration, damping_events, True,
-                                increment, history, fallbacks)
+            converged = True
+            break
 
-    return NewtonResult(state, opts.max_newton, damping_events, False,
+    return NewtonResult(forms.p, state, iterations, damping_events, converged,
                         increment, history, fallbacks)
 
 
 def cold_state(forms: NonlinearForms) -> DiscreteState:
     """All-zero state; :func:`newton_solve` clamps in the Dirichlet data."""
     return DiscreteState(np.zeros(forms.trial.n_total),
-                         np.zeros(forms.test.n_total), forms.p)
+                         np.zeros(forms.test.n_total))
 
 
 def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
@@ -292,8 +289,6 @@ def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
     if not result.converged:
         raise ContinuationError("linear stage p = 2 did not converge", log)
     state = result.state
-    if p_target == 2.0:
-        return state, log
 
     direction = 1.0 if p_target > 2.0 else -1.0
     current = 2.0
@@ -304,9 +299,7 @@ def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
                 p_next = p_target
             else:
                 p_next = current + direction * step
-            forms_p = forms_factory(p_next)
-            warm = DiscreteState(state.u, state.r, p_next)
-            result = newton_solve(forms_p, warm, opts)
+            result = newton_solve(forms_factory(p_next), state, opts)
             log.records.append(result)
             if result.converged:
                 state = result.state

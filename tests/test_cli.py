@@ -1,13 +1,19 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import plapminres
 from plapminres.cli import ConfigError, config_from_dict, main
+from plapminres.driver import ProblemConfig
+from plapminres.newton import SolverOptions
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def assert_input_error(argv, capsys, needle):
@@ -105,6 +111,24 @@ class TestConfigParsing:
         cfg = config_from_dict({"p_target": 2.0,
                                 "solver": {"max_newton": 7}})
         assert cfg.solver.max_newton == 7
+
+
+class TestSchemaDocs:
+    """README documents exactly the keys a config file accepts."""
+
+    def test_config_table_lists_every_field(self):
+        keys = re.findall(r"^\| `(\w+)`", README.read_text(encoding="utf-8"),
+                          re.MULTILINE)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {f.name for f in fields(ProblemConfig)}
+
+    def test_solver_list_names_every_option(self):
+        text = README.read_text(encoding="utf-8")
+        [listing] = re.findall(r"^`solver` accepts (.*?)\.\s", text,
+                               re.MULTILINE | re.DOTALL)
+        keys = re.findall(r"`(\w+)` \(", listing)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {f.name for f in fields(SolverOptions)}
 
 
 class TestRunCommand:

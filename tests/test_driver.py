@@ -63,7 +63,7 @@ class TestTransferState:
         new_trial = build_space(fine, P1)
         new_test = build_space(fine, CR)
         u = rng.standard_normal(old_trial.n_total)
-        state = DiscreteState(u, np.zeros(old_test.n_total), 2.0)
+        state = DiscreteState(u, np.zeros(old_test.n_total))
         moved = transfer_state(state, old_trial, old_test, new_trial, new_test)
         g_old = all_element_gradients(old_trial, u)
         g_new = all_element_gradients(new_trial, moved.u)
@@ -75,7 +75,7 @@ class TestTransferState:
         old_trial = build_space(coarse, P1)
         old_test = build_space(coarse, CR)
         state = DiscreteState(np.zeros(old_trial.n_total),
-                              np.zeros(old_test.n_total), 2.0)
+                              np.zeros(old_test.n_total))
         moved = transfer_state(state, old_trial, old_test,
                                build_space(fine, P1), build_space(fine, CR))
         assert np.array_equal(moved.u, np.zeros(fine.n_vertices))
@@ -91,7 +91,7 @@ class TestTransferState:
         old_test = build_space(coarse, CR)
         u = p1_interpolate(coarse, lambda x, y: 2 * x - y + 0.3)
         r = embed_p1_in_cr(coarse, u)
-        state = DiscreteState(u, r, 2.0)
+        state = DiscreteState(u, r)
         new_test = build_space(fine, CR)
         moved = transfer_state(state, old_trial, old_test,
                                build_space(fine, P1), new_test)
@@ -100,17 +100,32 @@ class TestTransferState:
         free = new_test.free_dofs
         assert np.abs(moved.r[free] - want[free]).max() <= 1e-13
 
-    def test_missing_genealogy_falls_back_to_zero(self):
+    def test_missing_genealogy_raises(self):
         rng = np.random.default_rng(1)
         coarse = unit_square_mesh(2)
         other = unit_square_mesh(4)  # fresh mesh, no genealogy
         old_trial = build_space(coarse, P1)
         old_test = build_space(coarse, CR)
         state = DiscreteState(rng.standard_normal(old_trial.n_total),
-                              np.zeros(old_test.n_total), 2.0)
-        moved = transfer_state(state, old_trial, old_test,
-                               build_space(other, P1), build_space(other, CR))
-        assert np.array_equal(moved.u, np.zeros(other.n_vertices))
+                              np.zeros(old_test.n_total))
+        with pytest.raises(ValueError, match="genealogy"):
+            transfer_state(state, old_trial, old_test,
+                           build_space(other, P1), build_space(other, CR))
+
+
+class TestLineSearchInvariant:
+    def test_aborted_level_never_increases_residual(self):
+        # Case 1 at p = 1.2 aborts on this mesh after many line searches
+        # ran out of halvings; none of them may accept a worse iterate
+        with pytest.raises(ContinuationError) as info:
+            driver._solve_level(ProblemConfig(p_target=1.2),
+                                refine_uniform(unit_square_mesh(2)))
+        records = info.value.log.records
+        assert any(h.get("error") == "line search exhausted"
+                   for rec in records for h in rec.history)
+        for rec in records:
+            residuals = [h["residual"] for h in rec.history if "residual" in h]
+            assert all(b <= a for a, b in zip(residuals, residuals[1:]))
 
 
 class TestLevelSetup:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from plapminres import linsolve
+from plapminres.estimate import ExactSolution
 from plapminres.forms import (
+    LoadSpec,
     NonlinearForms,
     assemble_duality_jacobian,
+    assemble_load,
     assemble_operator_jacobian,
 )
 from plapminres.linsolve import (
@@ -19,8 +23,14 @@ from plapminres.linsolve import (
     solve_symmetric_indefinite,
 )
 from plapminres.mesh import refine_marked, unit_square_mesh
-from plapminres.newton import SolverOptions, cold_state, newton_solve
-from plapminres.spaces import CR, P1, all_element_gradients, build_space
+from plapminres.newton import (
+    DiscreteState,
+    SolverOptions,
+    cold_state,
+    newton_solve,
+    nonlinear_residual,
+)
+from plapminres.spaces import CR, P1, all_element_gradients, build_space, triangle_rule
 from tests.oracles import dense_saddle_solve, reference_saddle_matrix
 
 
@@ -379,14 +389,17 @@ class TestFallback:
         mesh = unit_square_mesh(3)
         test = build_space(mesh, CR)
         trial = build_space(mesh, P1)
-        # the forms' pattern is built unpatched; only the per-step
-        # factorizations fail
+        # the forms' pattern and the p = 2 start are computed unpatched, as
+        # a continuation target starts; only the factorizations at p = 2.5
+        # fail
         forms = NonlinearForms(2.5, trial, test, saddle_pattern(test, trial),
                                np.ones(test.n_free),
                                np.zeros(trial.constrained_dofs.size))
+        start = newton_solve(replace(forms, p=2.0), cold_state(forms),
+                             SolverOptions()).state
         monkeypatch.setattr(linsolve, "spla", _FailingSymmetricSpla(
             linsolve.spla, "raise", fail_general))
-        result = newton_solve(forms, cold_state(forms), SolverOptions())
+        result = newton_solve(forms, start, SolverOptions())
         if fail_general:
             assert not result.converged and result.iterations == 0
             assert result.linear_fallbacks == 1
@@ -397,3 +410,67 @@ class TestFallback:
         assert payload["linear_fallbacks"] == result.linear_fallbacks
         if fail_general:
             assert payload["final_increment"] is None
+
+
+class _CountingSpla:
+    """``scipy.sparse.linalg`` stand-in counting factorizations and solves."""
+
+    def __init__(self, spla):
+        self._spla = spla
+        self.factorizations = 0
+        self.solves = 0
+
+    def splu(self, K, **kwargs):
+        self.factorizations += 1
+        return _CountingLU(self._spla.splu(K, **kwargs), self)
+
+
+class _CountingLU:
+    def __init__(self, lu, owner):
+        self._lu = lu
+        self._owner = owner
+
+    def solve(self, rhs):
+        self._owner.solves += 1
+        return self._lu.solve(rhs)
+
+
+class TestColdCertificate:
+    """A cold Newton step at p != 2 has r = 0, so G is about 1e-10 times the
+    element area against B of order one: its relative residual can miss
+    1e-10 in floating point, its backward error cannot."""
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 3.5])
+    @pytest.mark.parametrize("sigma", [0.95, 0.97, 0.99])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_certifies_in_one_solve(self, monkeypatch, n, sigma, p):
+        x0 = (-1.0, -1.0)
+        mesh = unit_square_mesh(n)
+        test = build_space(mesh, CR)
+        trial = build_space(mesh, P1)
+        load = assemble_load(LoadSpec(sigma=sigma, x0=x0), test,
+                             triangle_rule(10))
+        boundary = ExactSolution(p, sigma, x0).value(
+            mesh.vertices[trial.constrained_dofs])
+        forms = NonlinearForms(p, trial, test, saddle_pattern(test, trial),
+                               load, boundary)
+        # the cold state with its Dirichlet data clamped in, as Newton does
+        u = cold_state(forms).u
+        u[trial.constrained_dofs] = boundary
+        res = nonlinear_residual(forms, DiscreteState(u, np.zeros(test.n_total)))
+        system = assemble_saddle(forms.pattern,
+                                 assemble_duality_jacobian(forms, res.g_r),
+                                 res.B, res.top, res.bottom)
+        counting = _CountingSpla(linsolve.spla)
+        monkeypatch.setattr(linsolve, "spla", counting)
+        dr, du, _, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        assert not fell_back
+        assert counting.factorizations == 1 and counting.solves == 1
+        order = system.order
+        K = system.K[order][:, order].toarray()
+        b = system.rhs[order]
+        x = np.concatenate([dr, du])
+        eta = (np.abs(b - K @ x).max()
+               / (np.abs(K).sum(axis=0).max() * np.abs(x).max()
+                  + np.abs(b).max()))
+        assert eta <= 1e-10

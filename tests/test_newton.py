@@ -73,7 +73,7 @@ class TestNonlinearResidual:
                                np.zeros(test.n_free),
                                np.zeros(trial.constrained_dofs.size))
         state = DiscreteState(np.zeros(trial.n_total),
-                              np.zeros(test.n_total), 2.5)
+                              np.zeros(test.n_total))
         top, bottom, *_ = nonlinear_residual(forms, state)
         assert np.array_equal(top, np.zeros(test.n_free))
         assert np.array_equal(bottom, np.zeros(trial.n_free))
@@ -88,7 +88,7 @@ class TestNonlinearResidual:
             apply_plaplacian, forms, all_element_gradients(forms.trial, u))
         r = np.zeros(test.n_total)
         r[test.free_dofs] = spla.spsolve(G.tocsc(), rhs)
-        top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r, 2.0))
+        top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r))
         assert np.abs(top).max() <= 1e-9
         assert np.abs(bottom).max() <= 1e-9
 
@@ -99,7 +99,7 @@ class TestNonlinearResidual:
         u = rng.standard_normal(forms.trial.n_total)
         r = np.zeros(test.n_total)
         r[test.free_dofs] = rng.standard_normal(test.n_free)
-        top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r, 2.3))
+        top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r))
         g_u = all_element_gradients(forms.trial, u)
         g_r = all_element_gradients(test, r)
         # both actions tested at once, from the sum of their fluxes
@@ -127,9 +127,9 @@ class TestNonlinearResidual:
         u = rng.standard_normal(trial.n_total)
         r = np.zeros(test.n_total)
         r[test.free_dofs] = rng.standard_normal(test.n_free)
-        top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r, p))
+        top, bottom, *_ = nonlinear_residual(forms, DiscreteState(u, r))
         top2, bottom2, top_scale, bottom_scale = block_residual(
-            forms, DiscreteState(u, r, p))
+            forms, DiscreteState(u, r))
         assert np.abs(top - top2).max() <= 1e-13 * top_scale
         assert np.abs(bottom - bottom2).max() <= 1e-13 * bottom_scale
 
@@ -147,8 +147,7 @@ class TestNewtonSolve:
         opts = SolverOptions(newton_tol=1e-13, max_newton=25)
         res2 = newton_solve(factory(2.0), cold_state(factory(2.0)), opts)
         forms = factory(2.1)
-        warm = DiscreteState(res2.state.u, res2.state.r, 2.1)
-        result = newton_solve(forms, warm, opts)
+        result = newton_solve(forms, res2.state, opts)
         assert result.converged
         incs = [h["increment"] for h in result.history]
         checked = 0
@@ -166,8 +165,7 @@ class TestNewtonSolve:
         res2 = newton_solve(factory(2.0), cold_state(factory(2.0)),
                             SolverOptions())
         forms = factory(3.0)
-        warm = DiscreteState(res2.state.u, res2.state.r, 3.0)
-        result = newton_solve(forms, warm, SolverOptions(max_newton=1))
+        result = newton_solve(forms, res2.state, SolverOptions(max_newton=1))
         assert not result.converged
         assert result.iterations == 1
         assert np.all(np.isfinite(result.state.u))
@@ -178,12 +176,32 @@ class TestNewtonSolve:
         forms = factory(1.5)
         res2 = newton_solve(factory(2.0), cold_state(factory(2.0)),
                             SolverOptions())
-        warm = DiscreteState(res2.state.u, res2.state.r, 1.5)
-        result = newton_solve(forms, warm, SolverOptions(max_newton=30))
+        result = newton_solve(forms, res2.state, SolverOptions(max_newton=30))
         assert result.converged
         residuals = [h["residual"] for h in result.history]
         for a, b in zip(residuals, residuals[1:]):
             assert b <= a * (1.0 + 1e-12)
+
+
+    def test_exhausted_line_search_ends_unconverged(self):
+        # a full cold step at p = 2.5 increases the residual; with no
+        # halving allowed, the solve stops at its start state
+        mesh = unit_square_mesh(3)
+        test = build_space(mesh, CR)
+        trial = build_space(mesh, P1)
+        forms = NonlinearForms(2.5, trial, test, saddle_pattern(test, trial),
+                               np.ones(test.n_free),
+                               np.zeros(trial.constrained_dofs.size))
+        start = cold_state(forms)  # zero Dirichlet data: nothing to clamp
+        result = newton_solve(forms, start, SolverOptions(max_backtracks=0))
+        assert not result.converged
+        assert result.iterations == 1 and result.damping_events == 1
+        assert result.final_increment is None
+        assert np.array_equal(result.state.u, start.u)
+        assert np.array_equal(result.state.r, start.r)
+        [entry] = result.history
+        assert entry["error"] == "line search exhausted"
+        assert "linear_residual" in entry and "residual" not in entry
 
 
 class TestGradientReuse:
@@ -226,17 +244,17 @@ class TestGradientReuse:
 class TestContinuation:
     def test_target_two_is_single_linear_solve(self):
         _, _, _, factory = smooth_setup(2)
-        state, log = continuation_solve(2.0, factory, SolverOptions())
-        assert state.p_current == 2.0
+        _, log = continuation_solve(2.0, factory, SolverOptions())
+        assert log.records[-1].p == 2.0
         assert len(log.records) == 1
         assert log.total_iterations == 1
 
     def test_p3_band_on_coarse_mesh(self):
         # ten 0.1-steps from the linear case at ~4-5 Newton iterations each
         _, _, _, factory = smooth_setup(2)
-        state, log = continuation_solve(3.0, factory, SolverOptions())
+        _, log = continuation_solve(3.0, factory, SolverOptions())
         assert 30 <= log.total_iterations <= 80
-        assert state.p_current == 3.0
+        assert log.records[-1].p == 3.0
 
     def test_p15_band_on_coarse_mesh(self):
         # five 0.1-steps toward the singular regime
