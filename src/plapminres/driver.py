@@ -67,8 +67,8 @@ log = logging.getLogger(__name__)
 
 STRATEGIES = ("uniform", "pre_adapted_then_uniform", "adaptive")
 WARM_STARTS = ("off", "direct")
-# a rule of degree d holds (d // 2 + 1) ** 2 points per triangle
-MAX_QUAD_DEGREE = 40
+# degree of the triangle rule for the load and for the true error
+QUAD_DEGREE = 10
 
 
 @dataclass
@@ -83,8 +83,6 @@ class ProblemConfig:
     theta: float = 0.5
     max_levels: int = 6
     solver: SolverOptions = field(default_factory=SolverOptions)
-    load_quad_degree: int = 10
-    error_quad_degree: int = 10
     pre_adapt_steps: int = 8
     warm_start: str = "off"
     snapshot_levels: tuple[int, ...] = (0, 2, 6)
@@ -96,8 +94,7 @@ class ProblemConfig:
         if not (isinstance(self.x0, (tuple, list)) and len(self.x0) == 2
                 and all(map(is_finite_real, self.x0))):
             raise ValueError("x0 must be two finite numbers")
-        for name in ("initial_n", "max_levels", "pre_adapt_steps",
-                     "load_quad_degree", "error_quad_degree"):
+        for name in ("initial_n", "max_levels", "pre_adapt_steps"):
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         if not (isinstance(self.snapshot_levels, (tuple, list))
@@ -123,13 +120,9 @@ class ProblemConfig:
             raise ValueError("theta must lie in (0, 1]")
         if not (self.output_dir is None or isinstance(self.output_dir, str)):
             raise ValueError("output_dir must be a string or null")
-        for name in ("max_levels", "initial_n", "load_quad_degree",
-                     "error_quad_degree"):
+        for name in ("max_levels", "initial_n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("load_quad_degree", "error_quad_degree"):
-            if getattr(self, name) > MAX_QUAD_DEGREE:
-                raise ValueError(f"{name} must be <= {MAX_QUAD_DEGREE}")
         if self.pre_adapt_steps < 0:
             raise ValueError("pre_adapt_steps must be >= 0")
         if self.strategy not in STRATEGIES:
@@ -167,7 +160,7 @@ def _solve_level(cfg: ProblemConfig, mesh: Mesh,
     trial = build_space(mesh, P1)
     test = build_space(mesh, CR)
     load_free = assemble_load(LoadSpec(sigma=cfg.sigma, x0=cfg.x0), test,
-                              triangle_rule(cfg.load_quad_degree))
+                              triangle_rule(QUAD_DEGREE))
     factory = _forms_factory(trial, test, load_free, cfg.sigma, cfg.x0)
     forms = factory(cfg.p_target)
 
@@ -274,7 +267,7 @@ def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
 
     out = _ArtifactWriter(cfg) if cfg.output_dir else None
     es_target = ExactSolution(cfg.p_target, cfg.sigma, cfg.x0)
-    error_rule = triangle_rule(cfg.error_quad_degree)
+    error_rule = triangle_rule(QUAD_DEGREE)
 
     def solve(mesh: Mesh, previous=None):
         t0 = time.perf_counter()

@@ -33,13 +33,12 @@ for large matrices with wide supernodes, and on these 2D saddle systems
 they cost per-panel overhead, and relaxed supernodes store explicit
 zeros.  Every solution is re-verified against K and polished by up to
 two iterative-refinement sweeps until its relative residual or its
-normwise backward error meets the requested tolerance.  Static pivoting
-can break down on the zero (2, 2) block, so when that factorization
-raises or misses the certificate, the system is factored once more with
-a COLAMD column ordering and partial pivoting, under the same
-certificate.  Only when that fails too is
-:class:`LinearSolveError` raised, so the nonlinear driver can treat the
-step as failed.
+normwise backward error meets 1e-10.  Static pivoting can break down on
+the zero (2, 2) block, so when that factorization raises or misses the
+certificate, the stored K is factored once more with a COLAMD column
+ordering and partial pivoting, under the same certificate.  Only when
+that fails too is :class:`LinearSolveError` raised, so the nonlinear
+driver can treat the step as failed.
 """
 
 from __future__ import annotations
@@ -295,14 +294,11 @@ def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10):
     if not np.any(rhs):
         return np.zeros(n), np.zeros(rhs.size - n), 0.0, False
 
-    order = system.order
     try:
         x, rel = _certified_solve(system.K, rhs, rel_tol, _SYMMETRIC_LU)
-        x = x[order]
         fell_back = False
     except LinearSolveError:
-        # COLAMD chooses its own column order, from the natural one
-        x, rel = _certified_solve(system.K[order][:, order], rhs[order],
-                                  rel_tol, _GENERAL_LU)
+        x, rel = _certified_solve(system.K, rhs, rel_tol, _GENERAL_LU)
         fell_back = True
+    x = x[system.order]
     return x[:n], x[n:], rel, fell_back

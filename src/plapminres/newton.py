@@ -85,34 +85,25 @@ def is_finite_real(value) -> bool:
             and math.isfinite(value))
 
 
+# the line search halves a step at most MAX_BACKTRACKS times; the
+# continuation steps the exponent by CONTINUATION_STEP and halves the step
+# after a failed solve until it falls below MIN_STEP
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 12
+CONTINUATION_STEP = 0.10
+MIN_STEP = 1e-3
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     newton_tol: float = 1e-8
     max_newton: int = 50
-    continuation_step: float = 0.10
-    min_step: float = 1e-3
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 12
-    linear_rel_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("max_newton", "max_backtracks"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-        for name in ("newton_tol", "continuation_step", "min_step",
-                     "backtrack_factor", "linear_rel_tol"):
-            if not is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
-        for name in ("newton_tol", "max_newton", "continuation_step",
-                     "min_step", "backtrack_factor", "linear_rel_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be >= 0")
-        if not self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be < 1")
-        if self.continuation_step < self.min_step:
-            raise ValueError("continuation_step must be >= min_step")
+        if not (is_integer(self.max_newton) and self.max_newton > 0):
+            raise ValueError("max_newton must be a positive integer")
+        if not (is_finite_real(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError("newton_tol must be a positive finite number")
 
 
 @dataclass
@@ -218,8 +209,7 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
         G = assemble_duality_jacobian(forms, res.g_r)
         system = assemble_saddle(forms.pattern, G, res.B, res.top, res.bottom)
         try:
-            dr, du, lin_res, fell_back = solve_symmetric_indefinite(
-                system, opts.linear_rel_tol)
+            dr, du, lin_res, fell_back = solve_symmetric_indefinite(system)
         except LinearSolveError as exc:
             # raised only after the symmetric factorization was refused
             history.append({"error": str(exc)})
@@ -232,14 +222,14 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
 
         alpha = 1.0
         damped = False
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             state_try = DiscreteState(state.u + alpha * du,
                                       state.r + alpha * dr)
             res_try = nonlinear_residual(forms, state_try)
             if res_try.norm <= res.norm:
                 break
             damped = True
-            alpha *= opts.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
         damping_events += damped
         if not res_try.norm <= res.norm:  # also when the norm is NaN
             history.append({"linear_residual": lin_res,
@@ -277,7 +267,7 @@ def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
     exponent's Dirichlet values.  The linear case is solved first from
     the zero state; a failed Newton solve halves the local step and
     retries from the last converged state, aborting with
-    :class:`ContinuationError` when the step underflows ``opts.min_step``.
+    :class:`ContinuationError` when the step underflows ``MIN_STEP``.
     """
     if not 1.0 < p_target < np.inf:
         raise ValueError("p_target must be finite and > 1")
@@ -293,7 +283,7 @@ def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
     direction = 1.0 if p_target > 2.0 else -1.0
     current = 2.0
     while current != p_target:
-        step = opts.continuation_step
+        step = CONTINUATION_STEP
         while True:
             if abs(p_target - current) <= step * (1.0 + 1e-12):
                 p_next = p_target
@@ -306,7 +296,7 @@ def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
                 current = p_next
                 break
             step *= 0.5
-            if step < opts.min_step:
+            if step < MIN_STEP:
                 raise ContinuationError(
                     f"continuation step underflow at p = {current:.4f} "
                     f"toward {p_target}", log)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -13,7 +14,8 @@ from plapminres.cli import ConfigError, config_from_dict, main
 from plapminres.driver import ProblemConfig
 from plapminres.newton import SolverOptions
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def assert_input_error(argv, capsys, needle):
@@ -22,6 +24,12 @@ def assert_input_error(argv, capsys, needle):
     err = capsys.readouterr().err
     assert needle in err
     assert "Traceback" not in err
+
+
+def message_after(path: Path, capsys) -> str:
+    """stderr without the config path: pytest names ``tmp_path`` after the
+    test id, so the path alone can hold the field a test looks for."""
+    return capsys.readouterr().err.replace(str(path), "")
 
 
 def write_two_row_csv(path: Path):
@@ -65,6 +73,7 @@ class TestConfigParsing:
                      id="initial_n-float"),
         pytest.param({"p_target": 2.0, "pre_adapt_steps": 2.5},
                      "pre_adapt_steps", id="pre_adapt_steps-float"),
+        # settings fixed in the program: their keys are unknown
         pytest.param({"p_target": 2.0, "load_quad_degree": 0},
                      "load_quad_degree", id="load_quad_degree-zero"),
         pytest.param({"p_target": 2.0, "error_quad_degree": 0},
@@ -73,6 +82,12 @@ class TestConfigParsing:
                      "load_quad_degree", id="load_quad_degree-above-bound"),
         pytest.param({"p_target": 2.0, "error_quad_degree": 400},
                      "error_quad_degree", id="error_quad_degree-above-bound"),
+        pytest.param({"p_target": 2.0, "solver": {"max_backtracks": True}},
+                     "max_backtracks", id="solver-max_backtracks-bool"),
+        pytest.param({"p_target": 2.0, "solver": {"linear_rel_tol": float("inf")}},
+                     "linear_rel_tol", id="solver-linear_rel_tol-inf"),
+        pytest.param({"p_target": 2.0, "solver": {"backtrack_factor": 1.0}},
+                     "backtrack_factor", id="solver-backtrack_factor-one"),
         pytest.param({"p_target": 2.0, "solver": {"linear_method": "minres"}},
                      "linear_method", id="solver-linear_method"),
         pytest.param({"p_target": 2.0, "solver": {"damping_enabled": False}},
@@ -83,14 +98,8 @@ class TestConfigParsing:
                      id="sigma-neginf"),
         pytest.param({"p_target": 2.0, "solver": {"max_newton": 2.5}},
                      "max_newton", id="solver-max_newton-float"),
-        pytest.param({"p_target": 2.0, "solver": {"max_backtracks": True}},
-                     "max_backtracks", id="solver-max_backtracks-bool"),
         pytest.param({"p_target": 2.0, "solver": {"newton_tol": float("nan")}},
                      "newton_tol", id="solver-newton_tol-nan"),
-        pytest.param({"p_target": 2.0, "solver": {"linear_rel_tol": float("inf")}},
-                     "linear_rel_tol", id="solver-linear_rel_tol-inf"),
-        pytest.param({"p_target": 2.0, "solver": {"backtrack_factor": 1.0}},
-                     "backtrack_factor", id="solver-backtrack_factor-one"),
         pytest.param({"p_target": 2.0, "theta": True}, "theta", id="theta-bool"),
         pytest.param({"p_target": 2.0, "output_dir": 5}, "output_dir",
                      id="output_dir-int"),
@@ -131,6 +140,20 @@ class TestSchemaDocs:
         assert set(keys) == {f.name for f in fields(SolverOptions)}
 
 
+class TestEntryPoint:
+    def test_script_target_imports_and_runs(self, capsys):
+        # the installed ``plapminres`` command calls this target
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(
+            encoding="utf-8"))["project"]
+        module, _, attr = project["scripts"]["plapminres"].partition(":")
+        target = getattr(importlib.import_module(module), attr)
+        with pytest.raises(SystemExit) as info:
+            target(["--help"])
+        assert info.value.code == 0
+        assert "usage: plapminres" in capsys.readouterr().out
+
+
 class TestRunCommand:
     def test_run_from_config_file(self, tmp_path, capsys):
         config = {"p_target": 2.0, "initial_n": 2, "max_levels": 1}
@@ -153,8 +176,7 @@ class TestRunCommand:
         path.write_text('{"p_target": 1e400, "max_levels": 1}')
         code = main(["run", "--config", str(path)])
         assert code == 2
-        assert "p_target" in capsys.readouterr().err
-
+        assert "p_target" in message_after(path, capsys)
 
     @pytest.mark.parametrize("text,field", [
         ('{"p_target": 2.0, "snapshot_levels": 3}', "snapshot_levels"),
@@ -165,23 +187,36 @@ class TestRunCommand:
         ('{"p_target": 1.5, "sigma": 1.9}', "sigma"),
         ('{"p_target": 1.5, "sigma": 1.65, "x0": [0, 0]}', "sigma"),
         ('{"p_target": 1.0000001, "sigma": 0.5}', "p_target"),
-        # x0 on the one-point load rule's point of a level-0 triangle
-        ('{"p_target": 2.0, "x0": [0.33333333333333337, 0.16666666666666669],'
-         ' "load_quad_degree": 1, "initial_n": 2, "max_levels": 1}', "x0"),
-        # x0 on the one-point error rule's point, where the gradient of the
-        # sigma = 1.2 solution is singular
-        ('{"p_target": 1.5, "sigma": 1.2, "error_quad_degree": 1,'
-         ' "x0": [0.33333333333333337, 0.16666666666666669]}', "x0"),
+        # x0 on a point of the load rule in a level-0 triangle
+        ('{"p_target": 2.0, "x0": [0.2361984521286302, 0.07403929983424218],'
+         ' "initial_n": 2, "max_levels": 1}', "x0"),
     ], ids=["snapshot_levels", "sigma", "max_newton", "newton_tol",
             "sigma-equals-p_target", "sigma-on-continuation-path",
             "sigma-above-p_target", "p_target-near-one",
-            "x0-on-load-quadrature-point", "x0-on-error-quadrature-point"])
+            "x0-on-load-quadrature-point"])
     def test_bad_value_exits_2(self, tmp_path, capsys, text, field):
         path = tmp_path / "config.json"
         path.write_text(text)
         code = main(["run", "--config", str(path), "--levels", "1"])
         assert code == 2
-        assert field in capsys.readouterr().err
+        assert field in message_after(path, capsys)
+
+    @pytest.mark.parametrize("raw", [
+        {"load_quad_degree": 10}, {"error_quad_degree": 10},
+        {"solver": {"continuation_step": 0.1}}, {"solver": {"min_step": 1e-3}},
+        {"solver": {"backtrack_factor": 0.5}},
+        {"solver": {"max_backtracks": 12}},
+        {"solver": {"linear_rel_tol": 1e-10}},
+    ], ids=lambda raw: "".join(raw.get("solver", raw)))
+    def test_removed_key_exits_2(self, tmp_path, capsys, raw):
+        # these settings are fixed in the program; a config that sets one,
+        # even to its fixed value, is refused
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"p_target": 2.0, **raw}))
+        code = main(["run", "--config", str(path), "--levels", "1"])
+        assert code == 2
+        [key] = raw.get("solver", raw)
+        assert f"field {key!r}" in message_after(path, capsys)
 
 
 class TestBadInputExits2:

@@ -289,7 +289,7 @@ class TestStudies:
     def test_abort_returns_partial_records(self, tmp_path):
         out = tmp_path / "study"
         cfg = ProblemConfig(p_target=3.0, max_levels=2,
-                            solver=SolverOptions(max_newton=1, min_step=0.02),
+                            solver=SolverOptions(max_newton=1),
                             output_dir=str(out))
         records = run_study(cfg)
         assert records == []
@@ -334,7 +334,7 @@ def _level_by_level(cfg, mesh):
     """Records (without ``wall_ms``) and telemetry lines of ``cfg``'s
     uniform ladder from ``mesh``, solved one level after the other."""
     es = ExactSolution(cfg.p_target, cfg.sigma, cfg.x0)
-    rule = triangle_rule(cfg.error_quad_degree)
+    rule = triangle_rule(driver.QUAD_DEGREE)
     rows, lines = [], []
     for level in range(cfg.max_levels):
         forms, state, itlog = driver._solve_level(cfg, mesh)

@@ -361,6 +361,8 @@ class TestFallback:
         dr, du, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
         assert fell_back
         assert fake.calls == ["symmetric", "general"]
+        # the general factorization takes the stored K as it is
+        assert fake.matrices[1] is system.K
         x = np.concatenate([dr, du])
         order = system.order
         assert rel <= 1e-10

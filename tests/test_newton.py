@@ -183,9 +183,9 @@ class TestNewtonSolve:
             assert b <= a * (1.0 + 1e-12)
 
 
-    def test_exhausted_line_search_ends_unconverged(self):
-        # a full cold step at p = 2.5 increases the residual; with no
-        # halving allowed, the solve stops at its start state
+    def test_exhausted_line_search_ends_unconverged(self, monkeypatch):
+        # every trial's residual norm is made larger than the start's, so
+        # each halving is refused and the solve stops at its start state
         mesh = unit_square_mesh(3)
         test = build_space(mesh, CR)
         trial = build_space(mesh, P1)
@@ -193,7 +193,19 @@ class TestNewtonSolve:
                                np.ones(test.n_free),
                                np.zeros(trial.constrained_dofs.size))
         start = cold_state(forms)  # zero Dirichlet data: nothing to clamp
-        result = newton_solve(forms, start, SolverOptions(max_backtracks=0))
+        real = newton.nonlinear_residual
+        norms = []
+
+        def worse_trials(forms, state):
+            res = real(forms, state)
+            if norms:
+                res = res._replace(norm=2.0 * norms[0] + 1.0)
+            norms.append(res.norm)
+            return res
+
+        monkeypatch.setattr(newton, "nonlinear_residual", worse_trials)
+        result = newton_solve(forms, start, SolverOptions())
+        assert len(norms) == 1 + newton.MAX_BACKTRACKS + 1
         assert not result.converged
         assert result.iterations == 1 and result.damping_events == 1
         assert result.final_increment is None
@@ -277,7 +289,7 @@ class TestContinuation:
 
     def test_step_underflow_aborts_with_log(self):
         _, _, _, factory = smooth_setup(2)
-        opts = SolverOptions(max_newton=1, min_step=0.02)
+        opts = SolverOptions(max_newton=1)
         with pytest.raises(ContinuationError) as info:
             continuation_solve(3.0, factory, opts)
         assert info.value.log.records[0].p == 2.0
