@@ -26,14 +26,21 @@ degree on the pattern of K + K^T, depends on the pattern alone, so it is
 computed once per mesh, by one factorization of K filled with the p = 2
 weights, and baked into the pattern: K is stored as P K P^T in elimination
 order, every Newton step factors it in its ``NATURAL`` order, and the
-solution is mapped back to the natural order of the unknowns.  The
-symmetric factorizations run SuperLU's single-column kernel with
-unrelaxed supernodes (``panel_size=1, relax=1``): its defaults are tuned
-for large matrices with wide supernodes, and on these 2D saddle systems
-they cost per-panel overhead, and relaxed supernodes store explicit
-zeros.  Every solution is re-verified against K and polished by up to
-two iterative-refinement sweeps until its relative residual or its
-normwise backward error meets 1e-10.  Static pivoting can break down on
+solution is mapped back to the natural order of the unknowns.  Before it
+is baked in, every trial unknown that the ordering puts before all of
+the test unknowns it couples to is moved to just after the first of
+them (Bridson, SIAM J. Sci. Comput. 2007): its diagonal is still a
+structural zero when its turn comes, so static pivoting would take an
+off-diagonal pivot, which breaks the symmetric structure and adds fill.
+With every trial unknown after a test neighbour, the graded-mesh systems
+factor with diagonal pivots only.  The symmetric factorizations run
+SuperLU's single-column kernel with unrelaxed supernodes (``panel_size=1,
+relax=1``): its defaults are tuned for large matrices with wide
+supernodes, and on these 2D saddle systems they cost per-panel overhead,
+and relaxed supernodes store explicit zeros.  Every solution is
+re-verified against K and polished by up to two iterative-refinement
+sweeps until its relative residual or its normwise backward error meets
+1e-10.  Static pivoting can break down on
 the zero (2, 2) block, so when that factorization raises or misses the
 certificate, the stored K is factored once more with a COLAMD column
 ordering and partial pivoting, under the same certificate.  Only when
@@ -129,7 +136,11 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     p = 2, the values map at the weights ``area * (1, 1)`` and ``area *
     (1, 0, 1)``; SuperLU's ``perm_c[i]`` is the new position of unknown
     ``i``.  Should that factorization be refused, the COLAMD column order
-    is used instead.
+    is used instead.  A trial unknown placed before every test unknown it
+    couples to (in B) is then moved to just after the first of them,
+    those landing after the same one keeping their order: it would meet
+    a zero diagonal and take an off-diagonal pivot.  On uniform meshes
+    no trial unknown moves.
     """
     if trial.mesh is not test.mesh:
         raise ValueError("test and trial spaces must share one mesh")
@@ -189,6 +200,16 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     except RuntimeError:  # a zero pivot of the static pivoting
         lu = spla.splu(K2, **_GENERAL_LU)
     order = np.array(lu.perm_c, dtype=np.int64)
+
+    # no trial unknown before all of its test neighbours: move each such
+    # one to just after the first of them, keeping the order among those
+    # that land after the same one
+    first = np.full(m, size, dtype=np.int64)  # an uncoupled one goes last
+    np.minimum.at(first, np.repeat(np.arange(m), np.diff(K2.indptr[n:])),
+                  order[K2.indices[K2.indptr[n]:]])
+    anchor = order.copy()
+    anchor[n:] = np.maximum(order[n:], first)
+    order[np.lexsort((order, anchor != order, anchor))] = np.arange(size)
 
     # the same entries in the column-major order of P K P^T
     keys = order[keys // size] * size + order[keys % size]

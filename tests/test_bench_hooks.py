@@ -1,11 +1,19 @@
-"""The span tracer of the study benchmark still hooks into the program.
+"""The study benchmark still hooks into the program, and its reference
+rows still hold on full studies.
 
 ``benchmarks/tracer.py`` patches functions at the names the program's
 modules bind them to and reads fields of their results; a rename in
-``src`` would otherwise only show up as a broken trace run.
+``src`` would otherwise only show up as a broken trace run.  The CI smoke
+check stops at two levels, so the reference gate of the deeper levels,
+where the graded meshes are, is checked here.
 """
 
+import pytest
+
 from benchmarks.tracer import PATCH_POINTS, Tracer
+from benchmarks.workloads import (PAPER_SIGMA, failed_levels, load_reference,
+                                  study_config)
+from plapminres.cli import config_from_dict
 from plapminres.driver import ProblemConfig, run_study
 
 
@@ -22,3 +30,11 @@ def test_traced_iterations_match_records():
     assert metrics["newton.iterations"] == sum(r.newton_total for r in records) > 0
     assert metrics["linsolve.factorizations"] >= metrics["newton.iterations"]
     assert metrics["newton.continuation_targets"] >= 2
+
+
+@pytest.mark.parametrize("workload", ["uniform_p3", "adaptive_p1.5"])
+def test_full_study_matches_reference(tmp_path, workload):
+    raw = study_config(workload, PAPER_SIGMA)
+    records = run_study(config_from_dict(dict(raw, output_dir=str(tmp_path))))
+    assert failed_levels(load_reference(), workload, PAPER_SIGMA, records,
+                         raw["max_levels"]) == []

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from plapminres import linsolve
+from plapminres.driver import ProblemConfig, pre_adapt_mesh
 from plapminres.estimate import ExactSolution
 from plapminres.forms import (
     LoadSpec,
@@ -57,6 +58,23 @@ def graded_mesh():
     for _ in range(4):
         mesh = refine_marked(mesh, np.arange(0, mesh.n_triangles, 3))
     return mesh
+
+
+def pre_adapted_mesh():
+    """The first mesh of an adaptive p = 1.5 study with three p = 2
+    pre-adaptation steps (1 500 unknowns): graded enough that minimum
+    degree puts some trial unknowns before all their test neighbours."""
+    cfg = ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=16,
+                        pre_adapt_steps=3)
+    return pre_adapt_mesh(cfg, unit_square_mesh(16))
+
+
+def assert_trial_after_a_test_neighbour(pattern):
+    """In the elimination order, every trial unknown comes after at least
+    one of the test unknowns it couples to (its column holds only B)."""
+    for col in pattern.order[pattern.n_test:]:
+        rows = pattern.indices[pattern.indptr[col]:pattern.indptr[col + 1]]
+        assert rows.min() < col
 
 
 MESHES = {"uniform": lambda: unit_square_mesh(4), "graded": graded_mesh}
@@ -249,18 +267,26 @@ class TestOrdering:
         fresh = spla.splu(system.K[order][:, order], **linsolve._ORDERING_LU)
         assert baked.nnz == fresh.nnz
 
-    @pytest.mark.parametrize("make_mesh", [lambda: unit_square_mesh(8),
-                                           graded_mesh], ids=["uniform", "graded"])
-    def test_kernel_settings_keep_the_order(self, monkeypatch, make_mesh):
+    @pytest.mark.parametrize("make_mesh, uniform", [
+        pytest.param(lambda: unit_square_mesh(8), True, id="uniform"),
+        pytest.param(graded_mesh, False, id="graded"),
+        pytest.param(pre_adapted_mesh, False, id="pre_adapted")])
+    def test_kernel_settings_keep_the_order(self, monkeypatch, make_mesh,
+                                            uniform):
         mesh = make_mesh()
         test, trial = build_space(mesh, CR), build_space(mesh, P1)
         fake = _FailingSymmetricSpla(linsolve.spla, mode=None)
         monkeypatch.setattr(linsolve, "spla", fake)
         pattern = saddle_pattern(test, trial)
+        monkeypatch.setattr(linsolve, "_ORDERING_LU",
+                            superlu_defaults(linsolve._ORDERING_LU))
+        default = saddle_pattern(test, trial)
         monkeypatch.undo()
-        [K2] = fake.matrices
-        default = spla.splu(K2, **superlu_defaults(linsolve._ORDERING_LU))
-        assert np.array_equal(default.perm_c, pattern.order)
+        assert np.array_equal(default.order, pattern.order)
+        if uniform:  # no trial unknown moves: the order is MMD's own
+            K2 = fake.matrices[0]
+            assert np.array_equal(
+                spla.splu(K2, **linsolve._ORDERING_LU).perm_c, pattern.order)
 
     def test_kernel_settings_store_no_more_fill(self):
         forms, G, B = newton_weights(graded_mesh(), 1.5)
@@ -287,6 +313,22 @@ class TestOrdering:
         residual = rhs - K @ np.concatenate([dr, du])
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
+    def test_graded_steps_take_diagonal_pivots_only(self):
+        mesh = pre_adapted_mesh()
+        for p in (1.5, 2.0):
+            forms, G, B = newton_weights(mesh, p)
+            assert_trial_after_a_test_neighbour(forms.pattern)
+            system = assemble_saddle(forms.pattern, G, B,
+                                     np.zeros(forms.test.n_free),
+                                     np.zeros(forms.trial.n_free))
+            order = system.order
+            lu = spla.splu(system.K, **linsolve._SYMMETRIC_LU)
+            assert np.array_equal(lu.perm_r, np.arange(order.size))
+            if p == 1.5:  # at p = 2 the fill is the same either way
+                raw = spla.splu(system.K[order][:, order],
+                                **linsolve._ORDERING_LU)
+                assert lu.nnz <= raw.nnz
+
     def test_refused_ordering_call_takes_colamd_order(self, monkeypatch):
         forms, G, B = newton_weights(graded_mesh(), 1.5)
         fake = _FailingSymmetricSpla(linsolve.spla, "raise")
@@ -295,6 +337,7 @@ class TestOrdering:
         assert fake.calls == ["symmetric", "general"]
         monkeypatch.undo()
         assert np.array_equal(np.sort(pattern.order), np.arange(pattern.order.size))
+        assert_trial_after_a_test_neighbour(pattern)
         rng = np.random.default_rng(11)
         system = assemble_saddle(pattern, G, B,
                                  rng.standard_normal(forms.test.n_free),
