@@ -54,7 +54,6 @@ from .spaces import (
     QuadRule,
     all_element_gradients,
     broken_seminorm,
-    element_dofs,
     integrate_flux,
 )
 
@@ -223,7 +222,7 @@ def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray
         fx = load(pts)
         cells[block] = (2.0 * m.areas[block, None]
                         * ((fx * quad.weights) @ phi))
-    full = np.bincount(element_dofs(test_dm).ravel(), weights=cells.ravel(),
+    full = np.bincount(test_dm.element_dofs.ravel(), weights=cells.ravel(),
                        minlength=test_dm.n_total)
     return full[test_dm.free_dofs]
 

@@ -21,31 +21,32 @@ scattered.  G entries that vanish for every exponent are left out of
 the pattern: stored zeros would add fill to the factorization.
 
 K is factored as a symmetric matrix with no off-diagonal pivoting
-(``diag_pivot_thresh=0``).  Its fill-reducing ordering, SuperLU's minimum
-degree on the pattern of K + K^T, depends on the pattern alone, so it is
-computed once per mesh, by one factorization of K filled with the p = 2
-weights, and baked into the pattern: K is stored as P K P^T in elimination
-order, every Newton step factors it in its ``NATURAL`` order, and the
-solution is mapped back to the natural order of the unknowns.  Before it
-is baked in, every trial unknown that the ordering puts before all of
-the test unknowns it couples to is moved to just after the first of
-them (Bridson, SIAM J. Sci. Comput. 2007): its diagonal is still a
-structural zero when its turn comes, so static pivoting would take an
-off-diagonal pivot, which breaks the symmetric structure and adds fill.
-With every trial unknown after a test neighbour, the graded-mesh systems
-factor with diagonal pivots only.  The symmetric factorizations run
-SuperLU's single-column kernel with unrelaxed supernodes (``panel_size=1,
+(``diag_pivot_thresh=0``).  Its fill-reducing ordering depends on the
+pattern alone, so :func:`saddle_pattern` computes it once per mesh: it
+builds K at p = 2 in the natural order, straight from the element
+coefficients, and takes SuperLU's minimum degree on the pattern of
+K + K^T from one factorization of it.  It then moves every trial unknown
+that this order puts before all of the test unknowns it couples to to
+just after the first of them (Bridson, SIAM J. Sci. Comput. 2007): its
+diagonal is still a structural zero when its turn comes, so static
+pivoting would take an off-diagonal pivot, which breaks the symmetric
+structure and adds fill.  Only then does it lay the pattern out, once,
+in that elimination order: K is stored as P K P^T, every Newton step
+factors it in its ``NATURAL`` order, with diagonal pivots only on the
+graded meshes too, and the solution is mapped back to the natural order
+of the unknowns.  The symmetric factorizations run SuperLU's
+single-column kernel with unrelaxed supernodes (``panel_size=1,
 relax=1``): its defaults are tuned for large matrices with wide
 supernodes, and on these 2D saddle systems they cost per-panel overhead,
 and relaxed supernodes store explicit zeros.  Every solution is
 re-verified against K and polished by up to two iterative-refinement
 sweeps until its relative residual or its normwise backward error meets
-1e-10.  Static pivoting can break down on
-the zero (2, 2) block, so when that factorization raises or misses the
-certificate, the stored K is factored once more with a COLAMD column
-ordering and partial pivoting, under the same certificate.  Only when
-that fails too is :class:`LinearSolveError` raised, so the nonlinear
-driver can treat the step as failed.
+``CERTIFICATE_TOL``.  Static pivoting can break down on the zero (2, 2)
+block, so when that factorization raises or misses the certificate, the
+stored K is factored once more with a COLAMD column ordering and partial
+pivoting, under the same certificate.  Only when that fails too is
+:class:`LinearSolveError` raised, so the nonlinear driver can treat the
+step as failed.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
-from .spaces import DofMap, element_dofs
+from .spaces import DofMap
 
 # the once-per-mesh ordering call, the per-step symmetric factorization in
 # the order it found, and the general-purpose fallback.  With panel_size=1
@@ -69,6 +70,8 @@ _ORDERING_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     relax=1, panel_size=1, options={"SymmetricMode": True})
 _SYMMETRIC_LU = dict(_ORDERING_LU, permc_spec="NATURAL")
 _GENERAL_LU = dict(permc_spec="COLAMD")
+
+CERTIFICATE_TOL = 1e-10  # on the relative residual or the backward error
 
 
 class LinearSolveError(RuntimeError):
@@ -94,9 +97,9 @@ class SaddlePattern:
     ``values @ w`` for the element weights ``w`` of both Jacobians, one
     after the other: the (nt, 2) area-weighted duality weights of G, then
     the (nt, 3) area-weighted operator tensor entries (A_00, A_01, A_11)
-    of B, each in row-major order.  The rows of an entry
-    of B and of its mirror in B^T are equal, entry by entry and in the
-    same order, so K is exactly symmetric.
+    of B, each in row-major order.  The rows of an entry of B and of its
+    mirror in B^T are equal, entry by entry and in the same order, so K
+    is exactly symmetric.
     """
 
     mesh: Mesh
@@ -106,15 +109,6 @@ class SaddlePattern:
     indices: np.ndarray
     values: sp.csr_matrix
     order: np.ndarray
-
-    def matrix(self, G_weights: np.ndarray,
-               B_weights: np.ndarray) -> sp.csc_matrix:
-        """K with the given (nt, 2) duality and (nt, 3) operator weights."""
-        data = self.values @ np.concatenate([G_weights.ravel(),
-                                             B_weights.ravel()])
-        size = self.n_test + self.n_trial
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=(size, size))
 
 
 def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
@@ -128,31 +122,33 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     ``(d_k phi_i)(d_k phi_j)`` with duality weight k, and the B entry of
     test function i and trial function j weighs ``grad(phi_i)^T E
     grad(psi_j)`` with the operator tensor entries, E running over the
-    symmetric unit tensors of A_00, A_01 and A_11.  The G entries where
-    both products vanish, which happens for every exponent on the legs of
+    symmetric unit tensors of A_00, A_01 and A_11; the basis gradients
+    are the spaces' own ``basis_gradients``.  The G entries where both
+    products vanish, which happens for every exponent on the legs of
     axis-aligned right triangles, are dropped, and so are zero
-    coefficients of the values map.  The elimination order is the
-    ``perm_c`` of one symmetric minimum-degree factorization of K at
-    p = 2, the values map at the weights ``area * (1, 1)`` and ``area *
-    (1, 0, 1)``; SuperLU's ``perm_c[i]`` is the new position of unknown
-    ``i``.  Should that factorization be refused, the COLAMD column order
-    is used instead.  A trial unknown placed before every test unknown it
-    couples to (in B) is then moved to just after the first of them,
-    those landing after the same one keeping their order: it would meet
-    a zero diagonal and take an off-diagonal pivot.  On uniform meshes
-    no trial unknown moves.
+    coefficients of the values map.  K at p = 2, the coefficients at the
+    weights ``area * (1, 1)`` and ``area * (1, 0, 1)``, is built first, in
+    the natural order.  The elimination order is the ``perm_c`` of one
+    symmetric minimum-degree factorization of it (SuperLU's ``perm_c[i]``
+    is the new position of unknown ``i``), or its COLAMD column order
+    should that factorization be refused.  A trial unknown placed before
+    every test unknown it couples to (in B) is then moved to just after
+    the first of them, those landing after the same one keeping their
+    order: it would meet a zero diagonal and take an off-diagonal pivot.
+    On uniform meshes no trial unknown moves.  Only then are the entries
+    and the values map laid out, once, in that order.
     """
     if trial.mesh is not test.mesh:
         raise ValueError("test and trial spaces must share one mesh")
-    rows_t = test._free_index[element_dofs(test)]
-    rows_u = trial._free_index[element_dofs(trial)]
-    mesh = test.mesh
-    c = (-2.0 * mesh.grad_lambda)[:, :, None, :]  # (nt, 3, 1, 2): test i
-    q = mesh.grad_lambda[:, None, :, :]           # (nt, 1, 3, 2): trial j
+    rows_t = test.free_index[test.element_dofs]
+    rows_u = trial.free_index[trial.element_dofs]
+    c = test.basis_gradients[:, :, None, :]    # (nt, 3, 1, 2): test i
+    q = trial.basis_gradients[:, None, :, :]   # (nt, 1, 3, 2): trial j
     g_coef = c * c.transpose(0, 2, 1, 3)  # (nt, 3, 3, 2)
     b_coef = np.stack([c[..., 0] * q[..., 0],
                        c[..., 0] * q[..., 1] + c[..., 1] * q[..., 0],
                        c[..., 1] * q[..., 1]], axis=-1)  # (nt, 3, 3, 3)
+    mesh = test.mesh
     nt = mesh.n_triangles
     n, m = test.n_free, trial.n_free
     size = n + m
@@ -163,38 +159,18 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     b_cols = np.broadcast_to(n + rows_u[:, None, :], shape)
     g_keep = (g_rows >= 0) & (g_cols >= 0) & (g_coef != 0.0).any(axis=-1)
     b_keep = (g_rows >= 0) & (b_cols >= n)
-    rows = np.concatenate([g_rows.ravel(), g_rows.ravel(), b_cols.ravel()])
-    cols = np.concatenate([g_cols.ravel(), b_cols.ravel(), g_rows.ravel()])
-    keep = np.concatenate([g_keep.ravel(), b_keep.ravel(), b_keep.ravel()])
-    keys, inverse = np.unique(cols[keep] * size + rows[keep],
-                              return_inverse=True)  # column-major order
-    slots = np.full(keep.size, -1, dtype=np.int32)
-    slots[keep] = inverse
-    g_slots, b_slots, bt_slots = slots.reshape(3, nt, 3, 3)
-    del rows, cols, keep, inverse  # transients: keep the peak memory low
+    # the kept entries of G, B and B^T, one block after the other
+    rows = np.concatenate([g_rows[g_keep], g_rows[b_keep],
+                           b_cols[b_keep]]).astype(np.int32)
+    cols = np.concatenate([g_cols[g_keep], b_cols[b_keep],
+                           g_rows[b_keep]]).astype(np.int32)
 
-    # values map as triplets: one per element entry and nonzero
-    # coefficient, element by element, so each row sums in column order
-    t = np.arange(nt, dtype=np.int32)[:, None, None, None]
-    parts = [(g_slots, 2 * t + np.arange(2, dtype=np.int32), g_coef)]
-    parts += [(slot, 2 * nt + 3 * t + np.arange(3, dtype=np.int32), b_coef)
-              for slot in (b_slots, bt_slots)]
-    triplets = []
-    for slot, col, coef in parts:
-        live = (slot[..., None] >= 0) & (coef != 0.0)
-        triplets.append((coef[live],
-                         np.broadcast_to(slot[..., None], coef.shape)[live],
-                         np.broadcast_to(col, coef.shape)[live]))
-    data, map_rows, map_cols = map(np.concatenate, zip(*triplets))
-    del parts, triplets, g_coef, b_coef
-    values = sp.coo_matrix((data, (map_rows, map_cols)),
-                           shape=(keys.size, 5 * nt))
-
-    p2_weights = np.concatenate([np.repeat(mesh.areas, 2), (
-        mesh.areas[:, None] * np.array([1.0, 0.0, 1.0])).ravel()])
-    K2 = sp.csc_matrix((values @ p2_weights, keys % size,
-                        np.searchsorted(keys // size, np.arange(size + 1))),
-                       shape=(size, size))
+    # K at p = 2 in the natural order: weights area (1, 1) and (1, 0, 1)
+    area = mesh.areas[:, None, None]
+    b2 = (area * (b_coef[..., 0] + b_coef[..., 2]))[b_keep]
+    K2 = sp.csc_matrix((np.concatenate([
+        (area * (g_coef[..., 0] + g_coef[..., 1]))[g_keep], b2, b2]),
+        (rows, cols)), shape=(size, size))
     try:
         lu = spla.splu(K2, **_ORDERING_LU)
     except RuntimeError:  # a zero pivot of the static pivoting
@@ -210,16 +186,36 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     anchor = order.copy()
     anchor[n:] = np.maximum(order[n:], first)
     order[np.lexsort((order, anchor != order, anchor))] = np.arange(size)
+    # keep the peak memory low; the ordering factor is freed on return:
+    # freed here, before the values map is allocated, it left the heap so
+    # that later factorizations took 2-16x the page faults (glibc malloc)
+    del K2, b2
 
-    # the same entries in the column-major order of P K P^T
-    keys = order[keys // size] * size + order[keys % size]
-    moved = np.argsort(keys)
-    keys = keys[moved]
-    position = np.empty(keys.size, dtype=np.int32)
-    position[moved] = np.arange(keys.size, dtype=np.int32)
-    values.row = position[values.row]
-    values = values.tocsr()
-    values.sort_indices()
+    # the entries in the column-major order of P K P^T
+    keys, inverse = np.unique(order[cols] * size + order[rows],
+                              return_inverse=True)
+    keep = np.stack([g_keep, b_keep, b_keep])
+    slots = np.full(keep.shape, -1, dtype=np.int32)
+    slots[keep] = inverse
+    g_slots, b_slots, bt_slots = slots
+    del rows, cols, keep, inverse
+
+    # values map as triplets: one per element entry and nonzero
+    # coefficient, element by element, so each row sums in column order
+    t = np.arange(nt, dtype=np.int32)[:, None, None, None]
+    parts = [(g_slots, 2 * t + np.arange(2, dtype=np.int32), g_coef)]
+    parts += [(slot, 2 * nt + 3 * t + np.arange(3, dtype=np.int32), b_coef)
+              for slot in (b_slots, bt_slots)]
+    triplets = []
+    for slot, col, coef in parts:
+        live = (slot[..., None] >= 0) & (coef != 0.0)
+        triplets.append((coef[live],
+                         np.broadcast_to(slot[..., None], coef.shape)[live],
+                         np.broadcast_to(col, coef.shape)[live]))
+    data, map_rows, map_cols = map(np.concatenate, zip(*triplets))
+    del parts, triplets, g_coef, b_coef
+    values = sp.csr_matrix((data, (map_rows, map_cols)),
+                           shape=(keys.size, 5 * nt))  # indices sorted
     indptr = np.searchsorted(keys // size, np.arange(size + 1))
     # 32-bit, as SuperLU takes them: csc_matrix then keeps them uncopied
     arrays = (indptr.astype(np.int32), (keys % size).astype(np.int32),
@@ -264,10 +260,13 @@ def assemble_saddle(pattern: SaddlePattern, G_weights, B_weights,
                          f"({nt}, 3)")
     if rhs_top.shape != (pattern.n_test,) or rhs_bottom.shape != (pattern.n_trial,):
         raise ValueError("right-hand side blocks do not match the free DOFs")
-    rhs = np.empty(pattern.n_test + pattern.n_trial)
+    size = pattern.n_test + pattern.n_trial
+    K = sp.csc_matrix((pattern.values @ np.concatenate([G_weights.ravel(),
+                                                        B_weights.ravel()]),
+                       pattern.indices, pattern.indptr), shape=(size, size))
+    rhs = np.empty(size)
     rhs[pattern.order] = np.concatenate([rhs_top, rhs_bottom])
-    return SaddleSystem(pattern.matrix(G_weights, B_weights), rhs,
-                        pattern.n_test, pattern.order)
+    return SaddleSystem(K, rhs, pattern.n_test, pattern.order)
 
 
 def _backward_error(K, x, residual, rhs) -> float:
@@ -279,9 +278,9 @@ def _backward_error(K, x, residual, rhs) -> float:
         + float(np.abs(rhs).max()))
 
 
-def _certified_solve(K, rhs, rel_tol: float, factor_options: dict):
+def _certified_solve(K, rhs, factor_options: dict):
     """Factor K, solve and refine until the relative residual or the
-    backward error meets ``rel_tol``; returns ``(x, rel_residual)``."""
+    backward error meets ``CERTIFICATE_TOL``; returns (x, rel_residual)."""
     rhs_norm = float(np.linalg.norm(rhs))
     try:
         lu = spla.splu(K, **factor_options)
@@ -293,15 +292,16 @@ def _certified_solve(K, rhs, rel_tol: float, factor_options: dict):
     for sweep in range(3):
         residual = rhs - K @ x
         rel = float(np.linalg.norm(residual)) / rhs_norm
-        if rel <= rel_tol or _backward_error(K, x, residual, rhs) <= rel_tol:
+        if (rel <= CERTIFICATE_TOL
+                or _backward_error(K, x, residual, rhs) <= CERTIFICATE_TOL):
             return x, rel
         if sweep < 2:
             x = x + lu.solve(residual)
     raise LinearSolveError("saddle-point solve failed", rel)
 
 
-def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10):
-    """Solve the saddle system and certify the solution at ``rel_tol``.
+def solve_symmetric_indefinite(system: SaddleSystem):
+    """Solve the saddle system, certified at ``CERTIFICATE_TOL``.
 
     Returns ``(dr, du, rel_residual, fell_back)``: the two blocks in the
     natural order of the unknowns, their relative residual (the backward
@@ -316,10 +316,10 @@ def solve_symmetric_indefinite(system: SaddleSystem, rel_tol: float = 1e-10):
         return np.zeros(n), np.zeros(rhs.size - n), 0.0, False
 
     try:
-        x, rel = _certified_solve(system.K, rhs, rel_tol, _SYMMETRIC_LU)
+        x, rel = _certified_solve(system.K, rhs, _SYMMETRIC_LU)
         fell_back = False
     except LinearSolveError:
-        x, rel = _certified_solve(system.K, rhs, rel_tol, _GENERAL_LU)
+        x, rel = _certified_solve(system.K, rhs, _GENERAL_LU)
         fell_back = True
     x = x[system.order]
     return x[:n], x[n:], rel, fell_back

@@ -25,7 +25,8 @@ Conventions used throughout the package:
 * every mesh carries its element geometry, computed once when it is
   built: the triangle ``areas`` and the barycentric gradients
   ``grad_lambda``; the CR basis function of edge ``i`` is
-  ``1 - 2 lambda_i``, so its gradient is ``-2 * grad_lambda[:, i]``.
+  ``1 - 2 lambda_i``, with gradient ``-2 * grad_lambda[:, i]`` (the CR
+  ``basis_gradients`` of :func:`plapminres.spaces.build_space`).
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ Two lowest-order spaces are handled on a shared :class:`~plapminres.mesh.Mesh`:
   at the edge midpoint), continuous only at interior edge midpoints and
   pinned to zero on boundary edges.
 
-A space depends on the mesh alone: its basis gradients are the mesh's
-``grad_lambda`` for P1 and ``-2 * grad_lambda`` for CR.  The Dirichlet
+A space depends on the mesh alone.  The ``element_dofs`` and
+``basis_gradients`` of its :class:`DofMap` are the one home of the P1/CR
+conventions (vertices and ``grad_lambda``, edges and ``-2 *
+grad_lambda``); other modules read them.  The Dirichlet
 values of the P1 trial space change with the exponent, so they live with
 the exponent's :class:`~plapminres.forms.NonlinearForms`, not here.
 
@@ -124,10 +126,16 @@ class DofMap:
 
     It holds no values: constrained CR DOFs are zero, and the Dirichlet
     values of the constrained P1 DOFs belong to the exponent's forms.
-    ``gradient_map`` (2 nt x n_total, CSR) takes a full coefficient vector
-    to the element gradients, row ``2 t + d`` holding component ``d`` on
-    triangle ``t``; ``flux_map`` (n_free x 2 nt, CSR) is its transpose
-    restricted to the free DOFs.
+    ``free_index`` maps a DOF to its free position, -1 if constrained.
+    ``element_dofs`` (nt, 3) holds the DOFs of each triangle's local basis
+    functions, slot ``i`` being the hat of vertex ``i`` (P1) or the
+    midpoint function of the edge opposite it (CR), and
+    ``basis_gradients`` (nt, 3, 2) their gradients; for P1 both are the
+    mesh's own arrays, and all three are read-only.  ``gradient_map``
+    (2 nt x n_total, CSR) takes a full coefficient vector to the element
+    gradients, row ``2 t + d`` holding component ``d`` on triangle ``t``;
+    ``flux_map`` (n_free x 2 nt, CSR) is its transpose restricted to the
+    free DOFs.
     """
 
     kind: str
@@ -135,7 +143,9 @@ class DofMap:
     n_total: int
     free_dofs: np.ndarray
     constrained_dofs: np.ndarray
-    _free_index: np.ndarray  # full index -> position in free vector, -1 if constrained
+    free_index: np.ndarray
+    element_dofs: np.ndarray
+    basis_gradients: np.ndarray
     gradient_map: sp.csr_matrix
     flux_map: sp.csr_matrix
 
@@ -166,9 +176,11 @@ def build_space(m: Mesh, kind: str) -> DofMap:
     if kind == P1:
         n_total = m.n_vertices
         constrained = m.boundary_vertices()
+        dofs, basis = m.triangles, m.grad_lambda
     elif kind == CR:
         n_total = m.n_edges
         constrained = np.nonzero(m.boundary_edge_flags)[0]
+        dofs, basis = m.triangle_edges, -2.0 * m.grad_lambda
     else:
         raise SpaceError(f"unknown space kind {kind!r}")
 
@@ -178,11 +190,10 @@ def build_space(m: Mesh, kind: str) -> DofMap:
     free_index = np.full(n_total, -1, dtype=np.int64)
     free_index[free] = np.arange(free.size)
 
-    basis = m.grad_lambda if kind == P1 else -2.0 * m.grad_lambda
     rows = 2 * m.n_triangles
     # row 2t + d holds d_d of the three local basis functions of triangle t
     data = basis.transpose(0, 2, 1).reshape(rows, 3)
-    cols = np.repeat(_element_dofs(m, kind), 2, axis=0)
+    cols = np.repeat(dofs, 2, axis=0)
     gradient_map = sp.csr_matrix(
         (data.ravel(), cols.ravel(), np.arange(0, 3 * rows + 1, 3)),
         shape=(rows, n_total))
@@ -191,24 +202,10 @@ def build_space(m: Mesh, kind: str) -> DofMap:
     indptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
     flux_map = sp.csr_matrix((data[live], cols[live], indptr),
                              shape=(rows, free.size)).T.tocsr()
-    for arr in (free, constrained, free_index):
+    for arr in (free, constrained, free_index, basis):
         arr.setflags(write=False)
-    return DofMap(kind, m, n_total, free, constrained, free_index,
-                  gradient_map, flux_map)
-
-
-def _element_dofs(m: Mesh, kind: str) -> np.ndarray:
-    return m.triangles if kind == P1 else m.triangle_edges
-
-
-def element_dofs(dm: DofMap) -> np.ndarray:
-    """Global DOF indices of the three local basis functions, shape (nt, 3).
-
-    Local slot ``i`` holds the vertex ``i`` hat function for P1 and the
-    midpoint function of the edge opposite vertex ``i`` for CR, matching
-    the gradient layout of ``Mesh.grad_lambda``.
-    """
-    return _element_dofs(dm.mesh, dm.kind)
+    return DofMap(kind, m, n_total, free, constrained, free_index, dofs,
+                  basis, gradient_map, flux_map)
 
 
 def all_element_gradients(dm: DofMap, coeffs: np.ndarray) -> np.ndarray:

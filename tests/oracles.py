@@ -133,17 +133,15 @@ def dense_saddle_solve(G, B, rhs_top, rhs_bottom):
 
 def scatter_matrix(blocks, row_dm, col_dm) -> sp.csr_matrix:
     """Scatter (nt, 3, 3) element blocks into a free x free CSR matrix."""
-    from plapminres.spaces import element_dofs
-
-    rows_full = element_dofs(row_dm)
-    cols_full = element_dofs(col_dm)
+    rows_full = row_dm.element_dofs
+    cols_full = col_dm.element_dofs
     nt = blocks.shape[0]
     rows = np.repeat(rows_full, 3, axis=1).ravel()
     cols = np.tile(cols_full, (1, 3)).ravel()
     data = blocks.reshape(nt, 9).ravel()
 
-    ri = row_dm._free_index[rows]
-    ci = col_dm._free_index[cols]
+    ri = row_dm.free_index[rows]
+    ci = col_dm.free_index[cols]
     keep = (ri >= 0) & (ci >= 0)
     mat = sp.coo_matrix((data[keep], (ri[keep], ci[keep])),
                         shape=(row_dm.n_free, col_dm.n_free))
@@ -232,20 +230,20 @@ def block_residual(forms, state):
     largest magnitude of the terms that make up the block.
     """
     from plapminres.forms import EPS_FLOOR
-    from plapminres.spaces import P1, broken_seminorm, element_dofs
+    from plapminres.spaces import P1, broken_seminorm
 
     test, trial, p = forms.test, forms.trial, forms.p
     areas, grad_p1 = forms.mesh.areas, forms.mesh.grad_lambda
     grad_cr = -2.0 * grad_p1
 
     def gather(dm, cells):
-        full = np.bincount(element_dofs(dm).ravel(), weights=cells.ravel(),
+        full = np.bincount(dm.element_dofs.ravel(), weights=cells.ravel(),
                            minlength=dm.n_total)
         return full[dm.free_dofs]
 
     def gradients(dm, coeffs):
         basis = grad_p1 if dm.kind == P1 else grad_cr
-        return np.einsum("ti,tid->td", coeffs[element_dofs(dm)], basis)
+        return np.einsum("ti,tid->td", coeffs[dm.element_dofs], basis)
 
     g_u = gradients(trial, state.u)
     g_r = gradients(test, state.r)
@@ -263,7 +261,7 @@ def block_residual(forms, state):
         np.einsum("tid,tjd->tij", grad_cr, grad_p1)
         + ((p - 2.0) / s2)[:, None, None] * dv[:, :, None] * du[:, None, :])
     r = test.full_from_free(state.r[test.free_dofs])
-    Btr = gather(trial, np.einsum("tij,ti->tj", B, r[element_dofs(test)]))
+    Btr = gather(trial, np.einsum("tij,ti->tj", B, r[test.element_dofs]))
     top_scale = max(np.abs(forms.load_free).max(), np.abs(D).max(),
                     np.abs(N).max())
     return forms.load_free - D - N, -Btr, top_scale, np.abs(Btr).max()

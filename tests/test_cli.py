@@ -12,7 +12,8 @@ import pytest
 import plapminres
 from plapminres.cli import ConfigError, config_from_dict, main
 from plapminres.driver import ProblemConfig
-from plapminres.newton import SolverOptions
+from plapminres.estimate import StudyRecord
+from plapminres.newton import NewtonResult, SolverOptions
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -123,7 +124,8 @@ class TestConfigParsing:
 
 
 class TestSchemaDocs:
-    """README documents exactly the keys a config file accepts."""
+    """README documents exactly the keys a config file accepts, and the
+    columns and keys of the artifacts a study writes."""
 
     def test_config_table_lists_every_field(self):
         keys = re.findall(r"^\| `(\w+)`", README.read_text(encoding="utf-8"),
@@ -138,6 +140,20 @@ class TestSchemaDocs:
         keys = re.findall(r"`(\w+)` \(", listing)
         assert len(keys) == len(set(keys))
         assert set(keys) == {f.name for f in fields(SolverOptions)}
+
+    def test_telemetry_bullet_names_every_key(self):
+        text = README.read_text(encoding="utf-8")
+        [bullet] = re.findall(r"^\* `telemetry\.jsonl`(.*?)^\* ", text,
+                              re.MULTILINE | re.DOTALL)
+        result = NewtonResult(2.0, None, 0, 0, True, None, [], 0)
+        keys = json.loads(result.as_json(level=0))
+        assert set(keys) <= set(re.findall(r"`(\w+)`", bullet))
+
+    def test_records_header_matches_csv(self):
+        text = README.read_text(encoding="utf-8")
+        [header] = re.findall(r"^\* `records\.csv` with header\s+`([^`]*)`",
+                              text, re.MULTILINE)
+        assert header == StudyRecord.CSV_HEADER
 
 
 class TestEntryPoint:

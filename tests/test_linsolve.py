@@ -77,6 +77,23 @@ def assert_trial_after_a_test_neighbour(pattern):
         assert rows.min() < col
 
 
+def assert_stable_layout(pattern):
+    """The layout that keeps ``K.data`` bitwise stable: a canonical K, a
+    values map with sorted and unique column indices in every row, 32-bit
+    indices as SuperLU takes them, and read-only arrays throughout."""
+    nt = pattern.mesh.n_triangles
+    K = assemble_saddle(pattern, np.ones((nt, 2)), np.ones((nt, 3)),
+                        np.zeros(pattern.n_test), np.zeros(pattern.n_trial)).K
+    assert K.has_canonical_format
+    values = pattern.values
+    rows = np.repeat(np.arange(values.shape[0]), np.diff(values.indptr))
+    assert np.all(np.diff(rows * values.shape[1] + values.indices) > 0)
+    assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
+    for arr in (pattern.indptr, pattern.indices, pattern.order, values.data,
+                values.indices, values.indptr):
+        assert not arr.flags.writeable
+
+
 MESHES = {"uniform": lambda: unit_square_mesh(4), "graded": graded_mesh}
 
 
@@ -117,17 +134,17 @@ def loop_weight_matrix(mesh, test, trial, k):
     tensors = [None, None, [[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]]
     for t in range(mesh.n_triangles):
         for i, e in enumerate(mesh.triangle_edges[t]):
-            row = test._free_index[e]
+            row = test.free_index[e]
             if row < 0:
                 continue
             c_i = grad_cr[t, i]
             for j in range(3):
                 if k < 2:
-                    col = test._free_index[mesh.triangle_edges[t, j]]
+                    col = test.free_index[mesh.triangle_edges[t, j]]
                     if col >= 0:
                         K[row, col] += c_i[k] * grad_cr[t, j, k]
                     continue
-                col = trial._free_index[mesh.triangles[t, j]]
+                col = trial.free_index[mesh.triangles[t, j]]
                 if col >= 0:
                     b = c_i @ np.array(tensors[k], float) @ mesh.grad_lambda[t, j]
                     K[row, n + col] += b
@@ -212,7 +229,7 @@ class TestSolve:
         G = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 2.0]]))
         B = sp.csr_matrix(np.array([[1.0], [1.0]]))
         system = block_system(G, B, np.array([1.0, 1.0]), np.array([1.0]))
-        dr, du, rel, _ = solve_symmetric_indefinite(system, rel_tol=1e-10)
+        dr, du, rel, _ = solve_symmetric_indefinite(system)
         x = np.concatenate([dr, du])
         assert np.linalg.norm(system.K @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
 
@@ -228,7 +245,7 @@ class TestSolve:
     def test_residual_certificate_reported(self):
         rng = np.random.default_rng(5)
         system = random_spd_saddle(rng, 12, 5)
-        _, _, rel, _ = solve_symmetric_indefinite(system, rel_tol=1e-10)
+        _, _, rel, _ = solve_symmetric_indefinite(system)
         assert 0.0 <= rel <= 1e-10
 
     def test_deterministic(self):
@@ -283,6 +300,7 @@ class TestOrdering:
         default = saddle_pattern(test, trial)
         monkeypatch.undo()
         assert np.array_equal(default.order, pattern.order)
+        assert_stable_layout(pattern)
         if uniform:  # no trial unknown moves: the order is MMD's own
             K2 = fake.matrices[0]
             assert np.array_equal(
@@ -297,7 +315,7 @@ class TestOrdering:
         tuned = spla.splu(system.K, **linsolve._SYMMETRIC_LU)
         default = spla.splu(system.K, **superlu_defaults(linsolve._SYMMETRIC_LU))
         assert tuned.nnz <= default.nnz
-        *_, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        *_, rel, fell_back = solve_symmetric_indefinite(system)
         assert rel <= 1e-10 and not fell_back
 
     def test_graded_solve_certified_in_natural_order(self):
@@ -306,7 +324,7 @@ class TestOrdering:
         top = rng.standard_normal(forms.test.n_free)
         bottom = rng.standard_normal(forms.trial.n_free)
         system = assemble_saddle(forms.pattern, G, B, top, bottom)
-        dr, du, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        dr, du, rel, fell_back = solve_symmetric_indefinite(system)
         assert not fell_back and rel <= 1e-10
         K = reference_saddle_matrix(G, B, forms.test, forms.trial)
         rhs = np.concatenate([top, bottom])
@@ -342,7 +360,7 @@ class TestOrdering:
         system = assemble_saddle(pattern, G, B,
                                  rng.standard_normal(forms.test.n_free),
                                  rng.standard_normal(forms.trial.n_free))
-        *_, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        *_, rel, fell_back = solve_symmetric_indefinite(system)
         assert rel <= 1e-10 and not fell_back
 
 
@@ -401,7 +419,7 @@ class TestFallback:
         system = random_rhs_system(7)
         fake = _FailingSymmetricSpla(linsolve.spla, mode)
         monkeypatch.setattr(linsolve, "spla", fake)
-        dr, du, rel, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        dr, du, rel, fell_back = solve_symmetric_indefinite(system)
         assert fell_back
         assert fake.calls == ["symmetric", "general"]
         # the general factorization takes the stored K as it is
@@ -418,14 +436,14 @@ class TestFallback:
         fake = _FailingSymmetricSpla(linsolve.spla, mode, fail_general=True)
         monkeypatch.setattr(linsolve, "spla", fake)
         with pytest.raises(LinearSolveError):
-            solve_symmetric_indefinite(system, 1e-10)
+            solve_symmetric_indefinite(system)
         assert fake.calls == ["symmetric", "general"]
 
     def test_symmetric_path_taken_by_default(self, monkeypatch):
         system = random_rhs_system(9)
         fake = _FailingSymmetricSpla(linsolve.spla, mode=None)
         monkeypatch.setattr(linsolve, "spla", fake)
-        *_, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        *_, fell_back = solve_symmetric_indefinite(system)
         assert not fell_back
         assert fake.calls == ["symmetric"]
 
@@ -508,7 +526,7 @@ class TestColdCertificate:
                                  res.B, res.top, res.bottom)
         counting = _CountingSpla(linsolve.spla)
         monkeypatch.setattr(linsolve, "spla", counting)
-        dr, du, _, fell_back = solve_symmetric_indefinite(system, 1e-10)
+        dr, du, _, fell_back = solve_symmetric_indefinite(system)
         assert not fell_back
         assert counting.factorizations == 1 and counting.solves == 1
         order = system.order

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 import plapminres
-from plapminres.mesh import refine_uniform, unit_square_mesh
+from plapminres.mesh import refine_marked, refine_uniform, unit_square_mesh
 from plapminres.spaces import (
     CR,
     P1,
@@ -51,6 +51,31 @@ class TestBuildSpace:
         dm = build_space(unit_square_mesh(3), CR)
         both = np.concatenate([dm.free_dofs, dm.constrained_dofs])
         assert np.array_equal(np.sort(both), np.arange(dm.n_total))
+
+    @pytest.mark.parametrize("kind", [P1, CR])
+    def test_element_fields_follow_mesh_conventions(self, kind):
+        m = unit_square_mesh(4)
+        for _ in range(3):
+            m = refine_marked(m, np.arange(0, m.n_triangles, 3))
+        dm = build_space(m, kind)
+        if kind == P1:
+            assert dm.element_dofs is m.triangles
+            assert dm.basis_gradients is m.grad_lambda
+            nodes = m.vertices[dm.element_dofs]
+        else:
+            assert np.array_equal(dm.element_dofs, m.triangle_edges)
+            assert np.array_equal(dm.basis_gradients, -2.0 * m.grad_lambda)
+            nodes = m.vertices[m.edges[dm.element_dofs]].mean(axis=2)
+        # local basis function i is one at node i and zero at the others
+        got = np.einsum("tid,tjd->tij", dm.basis_gradients,
+                        nodes - nodes[:, :1])
+        eye = np.eye(3)
+        assert np.abs(got - (eye - eye[:, :1])).max() <= 1e-12
+        want = np.full(dm.n_total, -1)
+        want[dm.free_dofs] = np.arange(dm.n_free)
+        assert np.array_equal(dm.free_index, want)  # -1 where constrained
+        for arr in (dm.element_dofs, dm.basis_gradients, dm.free_index):
+            assert not arr.flags.writeable
 
 
 class TestGaussJacobi:
