@@ -58,9 +58,8 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ProblemConfig:
             kwargs[key] = value
         else:
             raise ConfigError(f"{source}: unknown field {key!r}")
-    for key in ("x0", "snapshot_levels"):
-        if isinstance(kwargs.get(key), list):
-            kwargs[key] = tuple(kwargs[key])
+    if isinstance(kwargs.get("x0"), list):
+        kwargs["x0"] = tuple(kwargs["x0"])
     try:
         kwargs["solver"] = SolverOptions(**solver_kwargs)
         return ProblemConfig(**kwargs)

@@ -7,8 +7,8 @@ refinement strategies are supported:
 * ``adaptive`` -- Dörfler marking on the local residual indicators
   followed by conforming bisection;
 * ``pre_adapted_then_uniform`` -- the initial mesh is first adapted by
-  running the linear (p = 2) adaptive loop a fixed number of steps, then
-  the study proceeds with uniform refinement.
+  running the linear (p = 2) adaptive loop ``PRE_ADAPT_STEPS`` steps,
+  then the study proceeds with uniform refinement.
 
 Each level builds its P1 and CR spaces, the saddle pattern of its Newton
 systems and its load once; its forms carry them, and only the Dirichlet
@@ -69,6 +69,10 @@ STRATEGIES = ("uniform", "pre_adapted_then_uniform", "adaptive")
 WARM_STARTS = ("off", "direct")
 # degree of the triangle rule for the load and for the true error
 QUAD_DEGREE = 10
+# p = 2 adaptive steps before a pre-adapted study's uniform ladder
+PRE_ADAPT_STEPS = 8
+# the adaptive steps whose mesh is written as an SVG snapshot
+SNAPSHOT_LEVELS = (0, 2, 6)
 
 
 @dataclass
@@ -83,9 +87,7 @@ class ProblemConfig:
     theta: float = 0.5
     max_levels: int = 6
     solver: SolverOptions = field(default_factory=SolverOptions)
-    pre_adapt_steps: int = 8
     warm_start: str = "off"
-    snapshot_levels: tuple[int, ...] = (0, 2, 6)
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -94,12 +96,9 @@ class ProblemConfig:
         if not (isinstance(self.x0, (tuple, list)) and len(self.x0) == 2
                 and all(map(is_finite_real, self.x0))):
             raise ValueError("x0 must be two finite numbers")
-        for name in ("initial_n", "max_levels", "pre_adapt_steps"):
+        for name in ("initial_n", "max_levels"):
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
-        if not (isinstance(self.snapshot_levels, (tuple, list))
-                and all(map(is_integer, self.snapshot_levels))):
-            raise ValueError("snapshot_levels must be a list of integers")
         if not (is_finite_real(self.sigma) and self.sigma < 2.0):
             raise ValueError("sigma must be a finite number < 2")
         # the benchmark solution needs p > sigma at every exponent of the
@@ -123,8 +122,6 @@ class ProblemConfig:
         for name in ("max_levels", "initial_n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.pre_adapt_steps < 0:
-            raise ValueError("pre_adapt_steps must be >= 0")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.warm_start not in WARM_STARTS:
@@ -199,11 +196,12 @@ def pre_adapt_mesh(cfg: ProblemConfig, mesh: Mesh) -> Mesh:
     """Adapt the initial mesh with the linear p = 2 problem.
 
     Runs the estimator-driven loop at the linear exponent for
-    ``cfg.pre_adapt_steps`` steps, producing an initial mesh that resolves
-    the data singularity before the main (uniform) study starts.
+    ``PRE_ADAPT_STEPS`` steps, or until no element is marked, producing
+    an initial mesh that resolves the data singularity before the main
+    (uniform) study starts.
     """
     linear = replace(cfg, p_target=2.0)
-    for _ in range(cfg.pre_adapt_steps):
+    for _ in range(PRE_ADAPT_STEPS):
         forms, state, _ = _solve_level(linear, mesh)
         refined = _refine_adaptively(mesh, forms, state.r, cfg.theta)
         if refined is mesh:
@@ -304,7 +302,7 @@ def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
                 if out:
                     out.telemetry(level, itlog)
                     if (cfg.strategy == "adaptive"
-                            and level in cfg.snapshot_levels):
+                            and level in SNAPSHOT_LEVELS):
                         out.snapshot(level, mesh)
     except ContinuationError as exc:
         diagnostic = f"level {len(records)}: {exc}"

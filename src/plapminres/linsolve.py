@@ -39,14 +39,13 @@ single-column kernel with unrelaxed supernodes (``panel_size=1,
 relax=1``): its defaults are tuned for large matrices with wide
 supernodes, and on these 2D saddle systems they cost per-panel overhead,
 and relaxed supernodes store explicit zeros.  Every solution is
-re-verified against K and polished by up to two iterative-refinement
-sweeps until its relative residual or its normwise backward error meets
-``CERTIFICATE_TOL``.  Static pivoting can break down on the zero (2, 2)
-block, so when that factorization raises or misses the certificate, the
-stored K is factored once more with a COLAMD column ordering and partial
-pivoting, under the same certificate.  Only when that fails too is
-:class:`LinearSolveError` raised, so the nonlinear driver can treat the
-step as failed.
+checked once against K: its relative residual or its normwise backward
+error must meet ``CERTIFICATE_TOL``.  Static pivoting can break down on
+the zero (2, 2) block, so when that factorization raises or misses the
+certificate, the stored K is factored once more with a COLAMD column
+ordering and partial pivoting, under the same certificate.  Only when
+that fails too is :class:`LinearSolveError` raised, so the nonlinear
+driver can treat the step as failed.
 """
 
 from __future__ import annotations
@@ -279,25 +278,20 @@ def _backward_error(K, x, residual, rhs) -> float:
 
 
 def _certified_solve(K, rhs, factor_options: dict):
-    """Factor K, solve and refine until the relative residual or the
-    backward error meets ``CERTIFICATE_TOL``; returns (x, rel_residual)."""
-    rhs_norm = float(np.linalg.norm(rhs))
+    """Factor K and solve once; returns (x, rel_residual) if the relative
+    residual or the backward error meets ``CERTIFICATE_TOL`` and raises
+    :class:`LinearSolveError` otherwise."""
     try:
         lu = spla.splu(K, **factor_options)
     except RuntimeError as exc:  # SuperLU reports exact singularity
         raise LinearSolveError(str(exc), np.inf) from exc
     x = lu.solve(rhs)
-    # one or two refinement sweeps recover the certificate when the
-    # factorization alone falls short
-    for sweep in range(3):
-        residual = rhs - K @ x
-        rel = float(np.linalg.norm(residual)) / rhs_norm
-        if (rel <= CERTIFICATE_TOL
-                or _backward_error(K, x, residual, rhs) <= CERTIFICATE_TOL):
-            return x, rel
-        if sweep < 2:
-            x = x + lu.solve(residual)
-    raise LinearSolveError("saddle-point solve failed", rel)
+    residual = rhs - K @ x
+    rel = float(np.linalg.norm(residual)) / float(np.linalg.norm(rhs))
+    if (rel > CERTIFICATE_TOL
+            and _backward_error(K, x, residual, rhs) > CERTIFICATE_TOL):
+        raise LinearSolveError("saddle-point solve failed", rel)
+    return x, rel
 
 
 def solve_symmetric_indefinite(system: SaddleSystem):

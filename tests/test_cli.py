@@ -72,9 +72,13 @@ class TestConfigParsing:
                      id="max_levels-bool"),
         pytest.param({"p_target": 2.0, "initial_n": 2.5}, "initial_n",
                      id="initial_n-float"),
+        # settings fixed in the program: their keys are unknown
         pytest.param({"p_target": 2.0, "pre_adapt_steps": 2.5},
                      "pre_adapt_steps", id="pre_adapt_steps-float"),
-        # settings fixed in the program: their keys are unknown
+        pytest.param({"p_target": 2.0, "pre_adapt_steps": -3},
+                     "pre_adapt_steps", id="pre_adapt_steps-negative"),
+        pytest.param({"p_target": 2.0, "snapshot_levels": 3},
+                     "snapshot_levels", id="snapshot_levels-int"),
         pytest.param({"p_target": 2.0, "load_quad_degree": 0},
                      "load_quad_degree", id="load_quad_degree-zero"),
         pytest.param({"p_target": 2.0, "error_quad_degree": 0},
@@ -93,8 +97,6 @@ class TestConfigParsing:
                      "linear_method", id="solver-linear_method"),
         pytest.param({"p_target": 2.0, "solver": {"damping_enabled": False}},
                      "damping_enabled", id="solver-damping_enabled"),
-        pytest.param({"p_target": 2.0, "snapshot_levels": 3},
-                     "snapshot_levels", id="snapshot_levels-int"),
         pytest.param({"p_target": 2.0, "sigma": float("-inf")}, "sigma",
                      id="sigma-neginf"),
         pytest.param({"p_target": 2.0, "solver": {"max_newton": 2.5}},
@@ -110,8 +112,6 @@ class TestConfigParsing:
                      id="sigma-on-continuation-path"),
         pytest.param({"p_target": 1.5, "sigma": 1.65, "x0": [0, 0]}, "sigma",
                      id="sigma-above-p_target"),
-        pytest.param({"p_target": 2.0, "pre_adapt_steps": -3},
-                     "pre_adapt_steps", id="pre_adapt_steps-negative"),
     ])
     def test_bad_value_names_field(self, raw, field):
         with pytest.raises(ConfigError, match=field):
@@ -223,6 +223,7 @@ class TestRunCommand:
         {"solver": {"backtrack_factor": 0.5}},
         {"solver": {"max_backtracks": 12}},
         {"solver": {"linear_rel_tol": 1e-10}},
+        {"pre_adapt_steps": 8}, {"snapshot_levels": [0, 2, 6]},
     ], ids=lambda raw: "".join(raw.get("solver", raw)))
     def test_removed_key_exits_2(self, tmp_path, capsys, raw):
         # these settings are fixed in the program; a config that sets one,

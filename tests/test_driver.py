@@ -302,10 +302,10 @@ class TestStudies:
         assert (telem[0]["p"], telem[0]["converged"]) == (2.0, True)
         assert telem[-1]["converged"] is False
 
-    def test_pre_adaptation_refines_near_corner(self):
+    def test_pre_adaptation_refines_near_corner(self, monkeypatch):
+        monkeypatch.setattr(driver, "PRE_ADAPT_STEPS", 4)
         cfg = ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=8,
-                            strategy="pre_adapted_then_uniform",
-                            pre_adapt_steps=4, max_levels=1)
+                            strategy="pre_adapted_then_uniform", max_levels=1)
         mesh = pre_adapt_mesh(cfg, unit_square_mesh(cfg.initial_n))
         assert mesh.n_triangles > 128
         # smallest elements concentrate at the singular corner
@@ -313,11 +313,12 @@ class TestStudies:
         near = np.linalg.norm(centroids, axis=1) < 0.2
         assert mesh.areas[near].min() < mesh.areas[~near].min()
 
-    def test_artifacts_written(self, tmp_path):
+    def test_artifacts_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(driver, "SNAPSHOT_LEVELS", (0, 2))
         out = tmp_path / "study"
         cfg = ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
                             strategy="adaptive", max_levels=3,
-                            snapshot_levels=(0, 2), output_dir=str(out))
+                            output_dir=str(out))
         records = run_study(cfg)
         csv_lines = (out / "records.csv").read_text().splitlines()
         assert len(csv_lines) == len(records) + 1
@@ -358,13 +359,14 @@ def _level_by_level(cfg, mesh):
 class TestIndependentLevels:
     """Cold-start uniform levels overlap on a helper thread."""
 
-    @pytest.mark.parametrize("cfg", [
-        ProblemConfig(p_target=3.0, max_levels=4),
-        ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
-                      strategy="pre_adapted_then_uniform", pre_adapt_steps=2,
-                      max_levels=3),
+    @pytest.mark.parametrize("cfg, n_pre", [
+        (ProblemConfig(p_target=3.0, max_levels=4), 0),
+        (ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
+                       strategy="pre_adapted_then_uniform", max_levels=3), 2),
     ], ids=["uniform_p3", "pre_adapted_p1.5"])
-    def test_equals_level_by_level_solves(self, tmp_path, monkeypatch, cfg):
+    def test_equals_level_by_level_solves(self, tmp_path, monkeypatch, cfg,
+                                          n_pre):
+        monkeypatch.setattr(driver, "PRE_ADAPT_STEPS", n_pre)
         real = driver.saddle_pattern
         meshes = []
 
@@ -376,8 +378,6 @@ class TestIndependentLevels:
         out = tmp_path / "study"
         records = run_study(replace(cfg, output_dir=str(out)))
         # one pattern per mesh; the pre-adaptation solves add their own
-        n_pre = (cfg.pre_adapt_steps
-                 if cfg.strategy == "pre_adapted_then_uniform" else 0)
         assert len(meshes) == cfg.max_levels + n_pre
         assert len({id(mesh) for mesh in meshes}) == len(meshes)
 

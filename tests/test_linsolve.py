@@ -1,4 +1,5 @@
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from plapminres import linsolve
-from plapminres.driver import ProblemConfig, pre_adapt_mesh
+from plapminres import driver, linsolve
+from plapminres.driver import ProblemConfig, pre_adapt_mesh, run_study
 from plapminres.estimate import ExactSolution
 from plapminres.forms import (
     LoadSpec,
@@ -64,9 +65,10 @@ def pre_adapted_mesh():
     """The first mesh of an adaptive p = 1.5 study with three p = 2
     pre-adaptation steps (1 500 unknowns): graded enough that minimum
     degree puts some trial unknowns before all their test neighbours."""
-    cfg = ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=16,
-                        pre_adapt_steps=3)
-    return pre_adapt_mesh(cfg, unit_square_mesh(16))
+    cfg = ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "PRE_ADAPT_STEPS", 3)
+        return pre_adapt_mesh(cfg, unit_square_mesh(16))
 
 
 def assert_trial_after_a_test_neighbour(pattern):
@@ -370,7 +372,8 @@ class _FailingSymmetricSpla:
     ``mode="raise"`` makes it raise like SuperLU on a zero pivot,
     ``mode="inaccurate"`` returns a factor whose solves miss the
     certificate; ``fail_general`` makes the COLAMD factorization raise too.
-    Every call and every matrix it is given are recorded.
+    Every call and every matrix it is given are recorded, and so is every
+    solve with an inaccurate factor, as ``"solve"``.
     """
 
     def __init__(self, spla, mode, fail_general=False):
@@ -388,17 +391,25 @@ class _FailingSymmetricSpla:
             raise RuntimeError("Factor is exactly singular")
         lu = self._spla.splu(K, **kwargs)
         if symmetric and self.mode == "inaccurate":
-            return _PerturbedLU(lu)
+            return _PerturbedLU(lu, self.calls)
         return lu
 
 
 class _PerturbedLU:
-    def __init__(self, lu):
+    def __init__(self, lu, calls):
         self.nnz = lu.nnz
         self._lu = lu
+        self._calls = calls
 
     def solve(self, rhs):
+        self._calls.append("solve")
         return 1.01 * self._lu.solve(rhs)
+
+
+# the calls up to the COLAMD factorization: an inaccurate symmetric factor
+# is solved once before it
+FALLBACK_CALLS = {"raise": ["symmetric", "general"],
+                  "inaccurate": ["symmetric", "solve", "general"]}
 
 
 def random_rhs_system(seed):
@@ -421,7 +432,7 @@ class TestFallback:
         monkeypatch.setattr(linsolve, "spla", fake)
         dr, du, rel, fell_back = solve_symmetric_indefinite(system)
         assert fell_back
-        assert fake.calls == ["symmetric", "general"]
+        assert fake.calls == FALLBACK_CALLS[mode]
         # the general factorization takes the stored K as it is
         assert fake.matrices[1] is system.K
         x = np.concatenate([dr, du])
@@ -437,7 +448,7 @@ class TestFallback:
         monkeypatch.setattr(linsolve, "spla", fake)
         with pytest.raises(LinearSolveError):
             solve_symmetric_indefinite(system)
-        assert fake.calls == ["symmetric", "general"]
+        assert fake.calls == FALLBACK_CALLS[mode]
 
     def test_symmetric_path_taken_by_default(self, monkeypatch):
         system = random_rhs_system(9)
@@ -476,26 +487,57 @@ class TestFallback:
 
 
 class _CountingSpla:
-    """``scipy.sparse.linalg`` stand-in counting factorizations and solves."""
+    """``scipy.sparse.linalg`` stand-in counting factorizations and solves,
+    also from the two worker threads of a uniform study."""
 
     def __init__(self, spla):
         self._spla = spla
+        self._lock = threading.Lock()
         self.factorizations = 0
         self.solves = 0
 
     def splu(self, K, **kwargs):
-        self.factorizations += 1
-        return _CountingLU(self._spla.splu(K, **kwargs), self)
+        lu = self._spla.splu(K, **kwargs)
+        with self._lock:
+            self.factorizations += 1
+        return _CountingLU(lu, self)
 
 
 class _CountingLU:
     def __init__(self, lu, owner):
+        self.perm_c = lu.perm_c  # what the once-per-mesh ordering call reads
         self._lu = lu
         self._owner = owner
 
     def solve(self, rhs):
-        self._owner.solves += 1
+        with self._owner._lock:
+            self._owner.solves += 1
         return self._lu.solve(rhs)
+
+
+class TestStudyTraffic:
+    """In a study, every Newton system certifies on the one solve of its
+    symmetric factorization: besides them, each mesh adds only its
+    ordering call, which factors without solving."""
+
+    @pytest.mark.parametrize("cfg", [
+        ProblemConfig(p_target=3.0, x0=(-1.0, -1.0), initial_n=2,
+                      strategy="uniform", max_levels=2),
+        ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=16,
+                      strategy="adaptive", max_levels=2),
+    ], ids=["uniform_p3", "adaptive_p1.5"])
+    def test_one_solve_per_factorization(self, tmp_path, monkeypatch, cfg):
+        counting = _CountingSpla(linsolve.spla)
+        monkeypatch.setattr(linsolve, "spla", counting)
+        out = tmp_path / "study"
+        records = run_study(replace(cfg, output_dir=str(out)))
+        assert len(records) == cfg.max_levels
+        assert counting.solves > 0
+        assert counting.factorizations - counting.solves == cfg.max_levels
+        telem = [json.loads(line) for line in
+                 (out / "telemetry.jsonl").read_text().splitlines()]
+        assert telem
+        assert all(t["linear_fallbacks"] == 0 for t in telem)
 
 
 class TestColdCertificate:
