@@ -288,8 +288,9 @@ def _certified_solve(K, rhs, factor_options: dict):
     x = lu.solve(rhs)
     residual = rhs - K @ x
     rel = float(np.linalg.norm(residual)) / float(np.linalg.norm(rhs))
-    if (rel > CERTIFICATE_TOL
-            and _backward_error(K, x, residual, rhs) > CERTIFICATE_TOL):
+    # the accept form, so that a NaN or infinite x fails the test
+    if not (rel <= CERTIFICATE_TOL
+            or _backward_error(K, x, residual, rhs) <= CERTIFICATE_TOL):
         raise LinearSolveError("saddle-point solve failed", rel)
     return x, rel
 

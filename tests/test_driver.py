@@ -359,14 +359,13 @@ def _level_by_level(cfg, mesh):
 class TestIndependentLevels:
     """Cold-start uniform levels overlap on a helper thread."""
 
-    @pytest.mark.parametrize("cfg, n_pre", [
-        (ProblemConfig(p_target=3.0, max_levels=4), 0),
-        (ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
-                       strategy="pre_adapted_then_uniform", max_levels=3), 2),
+    @pytest.mark.parametrize("cfg", [
+        ProblemConfig(p_target=3.0, max_levels=4),
+        ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
+                      strategy="pre_adapted_then_uniform", max_levels=3),
     ], ids=["uniform_p3", "pre_adapted_p1.5"])
-    def test_equals_level_by_level_solves(self, tmp_path, monkeypatch, cfg,
-                                          n_pre):
-        monkeypatch.setattr(driver, "PRE_ADAPT_STEPS", n_pre)
+    def test_equals_level_by_level_solves(self, tmp_path, monkeypatch, cfg):
+        monkeypatch.setattr(driver, "PRE_ADAPT_STEPS", 2)
         real = driver.saddle_pattern
         meshes = []
 
@@ -378,6 +377,8 @@ class TestIndependentLevels:
         out = tmp_path / "study"
         records = run_study(replace(cfg, output_dir=str(out)))
         # one pattern per mesh; the pre-adaptation solves add their own
+        n_pre = (driver.PRE_ADAPT_STEPS
+                 if cfg.strategy == "pre_adapted_then_uniform" else 0)
         assert len(meshes) == cfg.max_levels + n_pre
         assert len({id(mesh) for mesh in meshes}) == len(meshes)
 

@@ -369,11 +369,13 @@ class TestOrdering:
 class _FailingSymmetricSpla:
     """``scipy.sparse.linalg`` stand-in whose symmetric factorization fails.
 
-    ``mode="raise"`` makes it raise like SuperLU on a zero pivot,
-    ``mode="inaccurate"`` returns a factor whose solves miss the
-    certificate; ``fail_general`` makes the COLAMD factorization raise too.
-    Every call and every matrix it is given are recorded, and so is every
-    solve with an inaccurate factor, as ``"solve"``.
+    ``mode="raise"`` makes it raise like SuperLU on a zero pivot; the
+    other modes return a factor whose solves miss the certificate:
+    ``"inaccurate"`` scales them by 1.01, ``"nan"`` and ``"inf"`` return
+    them non-finite, as a static-pivot breakdown may.  ``fail_general``
+    makes the COLAMD factorization raise too.  Every call and every matrix
+    it is given are recorded, and so is every solve with a perturbed
+    factor, as ``"solve"``.
     """
 
     def __init__(self, spla, mode, fail_general=False):
@@ -390,26 +392,35 @@ class _FailingSymmetricSpla:
         if symmetric and self.mode == "raise" or not symmetric and self.fail_general:
             raise RuntimeError("Factor is exactly singular")
         lu = self._spla.splu(K, **kwargs)
-        if symmetric and self.mode == "inaccurate":
-            return _PerturbedLU(lu, self.calls)
+        if symmetric and self.mode in _PERTURBATIONS:
+            return _PerturbedLU(lu, self.calls, _PERTURBATIONS[self.mode])
         return lu
 
 
+_PERTURBATIONS = {
+    "inaccurate": lambda x: 1.01 * x,
+    "nan": lambda x: np.full_like(x, np.nan),
+    "inf": lambda x: np.full_like(x, np.inf),
+}
+
+
 class _PerturbedLU:
-    def __init__(self, lu, calls):
+    def __init__(self, lu, calls, perturb):
         self.nnz = lu.nnz
         self._lu = lu
         self._calls = calls
+        self._perturb = perturb
 
     def solve(self, rhs):
         self._calls.append("solve")
-        return 1.01 * self._lu.solve(rhs)
+        return self._perturb(self._lu.solve(rhs))
 
 
-# the calls up to the COLAMD factorization: an inaccurate symmetric factor
+# the calls up to the COLAMD factorization: a perturbed symmetric factor
 # is solved once before it
 FALLBACK_CALLS = {"raise": ["symmetric", "general"],
-                  "inaccurate": ["symmetric", "solve", "general"]}
+                  **{mode: ["symmetric", "solve", "general"]
+                     for mode in _PERTURBATIONS}}
 
 
 def random_rhs_system(seed):
@@ -425,7 +436,7 @@ def _reject_constant(name):
 
 
 class TestFallback:
-    @pytest.mark.parametrize("mode", ["raise", "inaccurate"])
+    @pytest.mark.parametrize("mode", list(FALLBACK_CALLS))
     def test_general_factorization_certifies(self, monkeypatch, mode):
         system = random_rhs_system(7)
         fake = _FailingSymmetricSpla(linsolve.spla, mode)
@@ -441,7 +452,7 @@ class TestFallback:
         assert (np.linalg.norm(system.rhs[order] - system.K[order][:, order] @ x)
                 <= 1e-10 * np.linalg.norm(system.rhs))
 
-    @pytest.mark.parametrize("mode", ["raise", "inaccurate"])
+    @pytest.mark.parametrize("mode", list(FALLBACK_CALLS))
     def test_both_failing_raises(self, monkeypatch, mode):
         system = random_rhs_system(8)
         fake = _FailingSymmetricSpla(linsolve.spla, mode, fail_general=True)
