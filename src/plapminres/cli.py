@@ -15,7 +15,7 @@ directory that cannot be created, a load center x0 on a quadrature
 point) ends with an error message and exit code 2.  All numeric output
 is deterministic for identical invocations except the wall-clock column
 of the records CSV, also where a uniform cold-start study solves its
-coarser levels on a second thread while the finest level runs.  Thread
+finest level on a helper thread while the coarser levels run.  Thread
 count of the underlying linear algebra follows the usual environment
 variables (OMP_NUM_THREADS and friends).
 """

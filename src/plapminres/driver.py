@@ -21,12 +21,12 @@ counted before the continuation takes over.
 
 Without a warm start, the levels of a uniform study are independent:
 each solve depends on its own mesh alone.  The whole ladder is then
-refined first and solved on two worker threads, the finest level first
-and the coarser ones in order beside it, and the results are recorded
-in level order.  The solves themselves are deterministic, so every
-output except ``wall_ms`` is the same as a serial run's.  Adaptive and
-warm-start studies, where a level needs the previous level's solution,
-run serially.
+refined first; one helper thread solves the finest level while the
+calling thread solves the coarser ones in order, and the results are
+recorded in level order.  The solves themselves are deterministic, so
+every output except ``wall_ms`` is the same as a serial run's.  Adaptive
+and warm-start studies, where a level needs the previous level's
+solution, run serially.
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ def _levels(cfg: ProblemConfig, mesh: Mesh, solve):
     A level depends on the one before it through its marked mesh or its
     warm start; such levels are solved one after the other, and the next
     mesh is refined only when another level follows.  Otherwise the
-    uniform ladder is refined first and its levels are solved on two
-    worker threads, the finest (the costliest) first and the coarser ones
+    uniform ladder is refined first, one helper thread solves the finest
+    level (the costliest) and the calling thread solves the coarser ones
     in order beside it.  A level's exception is raised when it is reached,
     so a failing coarser level counts first, as in a serial run.
     """
@@ -239,16 +239,13 @@ def _levels(cfg: ProblemConfig, mesh: Mesh, solve):
     ladder = [mesh]
     for _ in range(cfg.max_levels - 1):
         ladder.append(refine_uniform(ladder[-1]))
-    pool = ThreadPoolExecutor(max_workers=2)
-    try:
+    # leaving the block, however it is left, waits for the helper, so no
+    # thread outlives the study
+    with ThreadPoolExecutor(max_workers=1) as pool:
         finest = pool.submit(solve, ladder[-1])
-        futures = [pool.submit(solve, m) for m in ladder[:-1]] + [finest]
-        for future in futures:
-            yield future.result()
-    finally:
-        # drops the levels a failure left queued and waits for the running
-        # ones, so no thread outlives the study
-        pool.shutdown(cancel_futures=True)
+        for coarser in ladder[:-1]:
+            yield solve(coarser)
+        yield finest.result()
 
 
 def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
@@ -279,7 +276,8 @@ def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
     records: list[StudyRecord] = []
     diagnostic = None
     try:
-        # closing: a failure in the loop body stops the workers at once
+        # closing: a failure in the loop body stops the coarser levels at
+        # once and waits for the helper's level
         with contextlib.closing(_levels(cfg, mesh, solve)) as levels:
             for level, (forms, _, itlog, error, eta, wall_ms) in enumerate(
                     levels):

@@ -185,40 +185,58 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     anchor = order.copy()
     anchor[n:] = np.maximum(order[n:], first)
     order[np.lexsort((order, anchor != order, anchor))] = np.arange(size)
-    # keep the peak memory low; the ordering factor is freed on return:
-    # freed here, before the values map is allocated, it left the heap so
-    # that later factorizations took 2-16x the page faults (glibc malloc)
+    # K2 is freed here to keep the peak low, but the ordering factor, the
+    # largest allocation of a study, only on return.  Freeing that mapped
+    # block raises glibc's dynamic mmap threshold above the per-step SuperLU
+    # workspaces, which then reuse heap pages instead of faulting in fresh
+    # mappings.  Measure the minor page faults per study before freeing it
+    # elsewhere or swapping this ordering call.
     del K2, b2
 
-    # the entries in the column-major order of P K P^T
-    keys, inverse = np.unique(order[cols] * size + order[rows],
-                              return_inverse=True)
+    # the entries in the column-major order of P K P^T: one sort of their
+    # keys, each entry mapped to its slot through a 32-bit inverse
+    keys = order[cols] * size + order[rows]
+    del rows, cols
+    sort = np.argsort(keys)
+    keys = keys[sort]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    inverse = np.empty(keys.size, dtype=np.int32)
+    inverse[sort] = np.cumsum(new, dtype=np.int32) - 1
+    keys = keys[new]
+    del sort, new
+    # 32-bit, as SuperLU takes them: csc_matrix then keeps them uncopied
+    indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
+    indices = (keys % size).astype(np.int32)
+    del keys
     keep = np.stack([g_keep, b_keep, b_keep])
     slots = np.full(keep.shape, -1, dtype=np.int32)
     slots[keep] = inverse
     g_slots, b_slots, bt_slots = slots
-    del rows, cols, keep, inverse
+    del keep, inverse
 
     # values map as triplets: one per element entry and nonzero
-    # coefficient, element by element, so each row sums in column order
+    # coefficient, element by element, so each row sums in column order;
+    # written block by block into arrays allocated once
     t = np.arange(nt, dtype=np.int32)[:, None, None, None]
     parts = [(g_slots, 2 * t + np.arange(2, dtype=np.int32), g_coef)]
     parts += [(slot, 2 * nt + 3 * t + np.arange(3, dtype=np.int32), b_coef)
               for slot in (b_slots, bt_slots)]
-    triplets = []
-    for slot, col, coef in parts:
-        live = (slot[..., None] >= 0) & (coef != 0.0)
-        triplets.append((coef[live],
-                         np.broadcast_to(slot[..., None], coef.shape)[live],
-                         np.broadcast_to(col, coef.shape)[live]))
-    data, map_rows, map_cols = map(np.concatenate, zip(*triplets))
-    del parts, triplets, g_coef, b_coef
+    lives = [(slot[..., None] >= 0) & (coef != 0.0) for slot, _, coef in parts]
+    ends = np.cumsum([0] + [np.count_nonzero(live) for live in lives])
+    data = np.empty(ends[-1])
+    map_rows = np.empty(ends[-1], dtype=np.int32)
+    map_cols = np.empty(ends[-1], dtype=np.int32)
+    for (slot, col, coef), live, lo, hi in zip(parts, lives, ends, ends[1:]):
+        data[lo:hi] = coef[live]
+        map_rows[lo:hi] = np.broadcast_to(slot[..., None], coef.shape)[live]
+        map_cols[lo:hi] = np.broadcast_to(col, coef.shape)[live]
+    del parts, lives, slots, g_slots, b_slots, bt_slots, g_coef, b_coef
     values = sp.csr_matrix((data, (map_rows, map_cols)),
-                           shape=(keys.size, 5 * nt))  # indices sorted
-    indptr = np.searchsorted(keys // size, np.arange(size + 1))
-    # 32-bit, as SuperLU takes them: csc_matrix then keeps them uncopied
-    arrays = (indptr.astype(np.int32), (keys % size).astype(np.int32),
-              order, values.data, values.indices, values.indptr)
+                           shape=(indices.size, 5 * nt))  # indices sorted
+    arrays = (indptr, indices, order, values.data, values.indices,
+              values.indptr)
     for arr in arrays:
         arr.setflags(write=False)
     return SaddlePattern(mesh, n, m, arrays[0], arrays[1], values, order)

@@ -391,6 +391,36 @@ class TestIndependentLevels:
         assert (out / "telemetry.jsonl").read_text() == "".join(
             line + "\n" for line in lines)
 
+    def test_coarser_levels_run_on_the_calling_thread(self, monkeypatch):
+        real_solve = driver.continuation_solve
+        real_pool = driver.ThreadPoolExecutor
+        solved_on = []
+        pools = []
+
+        def recorded(p_target, factory, opts):
+            solved_on.append((factory(p_target).trial.mesh.n_triangles,
+                              threading.current_thread()))
+            return real_solve(p_target, factory, opts)
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(driver, "continuation_solve", recorded)
+        monkeypatch.setattr(driver, "ThreadPoolExecutor", pool)
+        cfg = ProblemConfig(p_target=3.0, max_levels=3)
+        threads = threading.active_count()
+        run_study(cfg)
+        assert threading.active_count() == threads
+        assert pools == [1]
+        triangles, solvers = zip(*sorted(solved_on, key=lambda s: s[0]))
+        assert list(triangles) == [2 * cfg.initial_n ** 2 * 4 ** level
+                                   for level in range(cfg.max_levels)]
+        *coarser, finest = solvers
+        assert all(t is threading.current_thread() for t in coarser)
+        assert finest is not threading.current_thread()
+        assert not finest.is_alive()
+
     @pytest.mark.parametrize("failing", [0, 1, 2],
                              ids=["coarsest", "level_1", "finest"])
     def test_failure_keeps_the_levels_before_it(self, tmp_path, monkeypatch,
@@ -451,7 +481,7 @@ class TestIndependentLevels:
         monkeypatch.setattr(driver, "mesh_size", failing)
         threads = threading.active_count()
         # excinfo keeps the traceback, and so the study's frames, alive:
-        # the workers must stop without waiting for them to be collected
+        # the helper must stop without waiting for them to be collected
         with pytest.raises(OSError, match="injected") as excinfo:
             run_study(ProblemConfig(p_target=3.0, max_levels=3))
         assert threading.active_count() == threads

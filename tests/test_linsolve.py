@@ -1,5 +1,6 @@
 import json
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from plapminres.linsolve import (
     saddle_pattern,
     solve_symmetric_indefinite,
 )
-from plapminres.mesh import refine_marked, unit_square_mesh
+from plapminres.mesh import refine_marked, refine_uniform, unit_square_mesh
 from plapminres.newton import (
     DiscreteState,
     SolverOptions,
@@ -214,6 +215,26 @@ class TestAssembleSaddle:
         trial = build_space(unit_square_mesh(2), P1)
         with pytest.raises(ValueError, match="share one mesh"):
             saddle_pattern(test, trial)
+
+    def test_pattern_build_peak_memory(self):
+        """The build keeps one copy of the values-map triplets and a 32-bit
+        entry inverse: on the 3 969-unknown uniform mesh its traced peak
+        stays below 3.6 MB (4.02 MB with per-block triplets concatenated
+        and ``np.unique``'s 64-bit inverse).  SuperLU's own allocations are
+        not traced."""
+        mesh = unit_square_mesh(2)
+        for _ in range(4):
+            mesh = refine_uniform(mesh)
+        test, trial = build_space(mesh, CR), build_space(mesh, P1)
+        assert test.n_free + trial.n_free == 3969
+        saddle_pattern(test, trial)  # first-call allocations of the libraries
+        tracemalloc.start()
+        try:
+            saddle_pattern(test, trial)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6e6
 
 
 class TestSolve:
@@ -499,7 +520,7 @@ class TestFallback:
 
 class _CountingSpla:
     """``scipy.sparse.linalg`` stand-in counting factorizations and solves,
-    also from the two worker threads of a uniform study."""
+    from the calling thread and the helper thread of a uniform study."""
 
     def __init__(self, spla):
         self._spla = spla
