@@ -207,7 +207,8 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     keys = keys[new]
     del sort, new
     # 32-bit, as SuperLU takes them: csc_matrix then keeps them uncopied
-    indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
+    indptr = np.searchsorted(keys // size,
+                             np.arange(size + 1)).astype(np.int32)
     indices = (keys % size).astype(np.int32)
     del keys
     keep = np.stack([g_keep, b_keep, b_keep])
