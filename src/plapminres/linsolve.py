@@ -13,12 +13,17 @@ of K is a fixed linear combination of five element weights per triangle
 (the two componentwise duality weights of G and the three entries of the
 symmetric operator tensor of B, see :mod:`plapminres.forms`).
 :func:`saddle_pattern` builds both as a :class:`SaddlePattern`: the CSC
-structure of K and a sparse values map M with ``K.data = M @ w``, w
-holding the five weights of every element.  The driver builds it once
-per level and the forms of every exponent carry it; a Newton step fills
-K with that one sparse product, and no element block is formed or
-scattered.  G entries that vanish for every exponent are left out of
-the pattern: stored zeros would add fill to the factorization.
+structure of K and a sparse values map M whose product ``M @ w`` gives
+the lower-triangle entries of ``K.data``, w holding the five weights of
+every element.  K is symmetric, so each coupling is mapped once: every
+strictly-upper entry is a copy of its transpose, the way symmetric
+sparse matrices are stored (Davis, Direct Methods for Sparse Linear
+Systems, SIAM 2006, ch. 2).  The driver builds the pattern once per
+level and the forms of every exponent carry it; a Newton step fills K
+with that one sparse product and one copy into the upper triangle, and
+no element block is formed or scattered.  G entries that vanish for
+every exponent are left out of the pattern: stored zeros would add fill
+to the factorization.
 
 K is factored as a symmetric matrix with no off-diagonal pivoting
 (``diag_pivot_thresh=0``).  Its fill-reducing ordering depends on the
@@ -92,13 +97,16 @@ class SaddlePattern:
     Rows and columns are in elimination order: ``order[i]`` is the
     position of unknown ``i`` (free test DOFs first, then free trial
     DOFs), so the natural-order K is ``K[order][:, order]``.  ``values``
-    (nnz x 5 nt, CSR with sorted column indices) gives ``K.data`` as
-    ``values @ w`` for the element weights ``w`` of both Jacobians, one
-    after the other: the (nt, 2) area-weighted duality weights of G, then
-    the (nt, 3) area-weighted operator tensor entries (A_00, A_01, A_11)
-    of B, each in row-major order.  The rows of an entry of B and of its
-    mirror in B^T are equal, entry by entry and in the same order, so K
-    is exactly symmetric.
+    (nnz x 5 nt, CSR with sorted column indices) gives the lower triangle
+    of ``K.data`` (the slots whose row position is at least their column
+    position, the diagonal included) as ``values @ w`` for the element
+    weights ``w`` of both Jacobians, one after the other: the (nt, 2)
+    area-weighted duality weights of G, then the (nt, 3) area-weighted
+    operator tensor entries (A_00, A_01, A_11) of B, each in row-major
+    order.  Its rows of the strictly-upper slots are empty; the int32
+    slots ``upper`` take their values from the transposed slots
+    ``mirror``, ``K.data[upper] = K.data[mirror]``, so K is exactly
+    symmetric.
     """
 
     mesh: Mesh
@@ -107,6 +115,8 @@ class SaddlePattern:
     indptr: np.ndarray
     indices: np.ndarray
     values: sp.csr_matrix
+    upper: np.ndarray
+    mirror: np.ndarray
     order: np.ndarray
 
 
@@ -135,7 +145,10 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     the first of them, those landing after the same one keeping their
     order: it would meet a zero diagonal and take an off-diagonal pivot.
     On uniform meshes no trial unknown moves.  Only then are the entries
-    and the values map laid out, once, in that order.
+    and the values map laid out, once, in that order: the map gets rows
+    for the lower-triangle slots of P K P^T only, and every strictly-upper
+    slot is paired with the slot of its transpose, found by a search of
+    the sorted entry keys.
     """
     if trial.mesh is not test.mesh:
         raise ValueError("test and trial spaces must share one mesh")
@@ -207,10 +220,16 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     keys = keys[new]
     del sort, new
     # 32-bit, as SuperLU takes them: csc_matrix then keeps them uncopied
-    indptr = np.searchsorted(keys // size,
-                             np.arange(size + 1)).astype(np.int32)
-    indices = (keys % size).astype(np.int32)
-    del keys
+    slot_col, slot_row = np.divmod(keys, size)
+    indptr = np.searchsorted(slot_col, np.arange(size + 1)).astype(np.int32)
+    indices = slot_row.astype(np.int32)
+    # K is symmetric: the values map covers its lower triangle, and each
+    # strictly-upper slot copies the slot of its transpose
+    lower = slot_row >= slot_col
+    upper = np.flatnonzero(~lower).astype(np.int32)
+    mirror = np.searchsorted(
+        keys, slot_row[upper] * size + slot_col[upper]).astype(np.int32)
+    del keys, slot_col, slot_row
     keep = np.stack([g_keep, b_keep, b_keep])
     slots = np.full(keep.shape, -1, dtype=np.int32)
     slots[keep] = inverse
@@ -224,7 +243,8 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
     parts = [(g_slots, 2 * t + np.arange(2, dtype=np.int32), g_coef)]
     parts += [(slot, 2 * nt + 3 * t + np.arange(3, dtype=np.int32), b_coef)
               for slot in (b_slots, bt_slots)]
-    lives = [(slot[..., None] >= 0) & (coef != 0.0) for slot, _, coef in parts]
+    lives = [((slot >= 0) & lower[slot])[..., None] & (coef != 0.0)
+             for slot, _, coef in parts]
     ends = np.cumsum([0] + [np.count_nonzero(live) for live in lives])
     data = np.empty(ends[-1])
     map_rows = np.empty(ends[-1], dtype=np.int32)
@@ -234,13 +254,14 @@ def saddle_pattern(test: DofMap, trial: DofMap) -> SaddlePattern:
         map_rows[lo:hi] = np.broadcast_to(slot[..., None], coef.shape)[live]
         map_cols[lo:hi] = np.broadcast_to(col, coef.shape)[live]
     del parts, lives, slots, g_slots, b_slots, bt_slots, g_coef, b_coef
+    del lower
     values = sp.csr_matrix((data, (map_rows, map_cols)),
                            shape=(indices.size, 5 * nt))  # indices sorted
-    arrays = (indptr, indices, order, values.data, values.indices,
-              values.indptr)
-    for arr in arrays:
+    for arr in (indptr, indices, order, upper, mirror, values.data,
+                values.indices, values.indptr):
         arr.setflags(write=False)
-    return SaddlePattern(mesh, n, m, arrays[0], arrays[1], values, order)
+    return SaddlePattern(mesh, n, m, indptr, indices, values, upper, mirror,
+                         order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +287,9 @@ def assemble_saddle(pattern: SaddlePattern, G_weights, B_weights,
     ``G_weights`` (nt, 2) are the area-weighted componentwise weights of
     the duality-map Hessian and ``B_weights`` (nt, 3) the area-weighted
     operator tensor entries (A_00, A_01, A_11) of the operator Jacobian,
-    as returned by :mod:`plapminres.forms`.
+    as returned by :mod:`plapminres.forms`.  The values map fills the
+    lower triangle of K, and each strictly-upper entry is copied from its
+    transpose.
     """
     nt = pattern.mesh.n_triangles
     G_weights = np.asarray(G_weights, dtype=float)
@@ -279,9 +302,13 @@ def assemble_saddle(pattern: SaddlePattern, G_weights, B_weights,
     if rhs_top.shape != (pattern.n_test,) or rhs_bottom.shape != (pattern.n_trial,):
         raise ValueError("right-hand side blocks do not match the free DOFs")
     size = pattern.n_test + pattern.n_trial
-    K = sp.csc_matrix((pattern.values @ np.concatenate([G_weights.ravel(),
-                                                        B_weights.ravel()]),
-                       pattern.indices, pattern.indptr), shape=(size, size))
+    data = pattern.values @ np.concatenate([G_weights.ravel(),
+                                            B_weights.ravel()])
+    # numpy indexes with intp: one cast per call is cheaper than its
+    # indexing path for 32-bit indices
+    data[pattern.upper.astype(np.intp)] = data[pattern.mirror.astype(np.intp)]
+    K = sp.csc_matrix((data, pattern.indices, pattern.indptr),
+                      shape=(size, size))
     rhs = np.empty(size)
     rhs[pattern.order] = np.concatenate([rhs_top, rhs_bottom])
     return SaddleSystem(K, rhs, pattern.n_test, pattern.order)

@@ -141,7 +141,10 @@ def _build_mesh(vertices, triangles, *, refinement_edge=None, parent=None,
                       triangles[:, [2, 0]],
                       triangles[:, [0, 1]]], axis=1).reshape(-1, 2)
     pairs = np.sort(pairs, axis=1)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    # one int64 key per sorted pair orders the edges lexicographically
+    keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                              return_inverse=True)
+    edges = np.stack(np.divmod(keys, nv), axis=1)
     triangle_edges = inverse.reshape(nt, 3).astype(np.int64)
 
     counts = np.bincount(triangle_edges.ravel(), minlength=edges.shape[0])
@@ -264,16 +267,22 @@ def refine_marked(m: Mesh, marked) -> Mesh:
     ----------
     m : Mesh
     marked : iterable of int
-        Triangle indices to bisect.  Out-of-range indices are rejected.
+        Triangle indices to bisect.  Out-of-range indices are rejected,
+        and so are non-integer ones: a boolean mask or a float index
+        raises a :class:`MeshError` instead of being read as indices.
 
     Returns
     -------
     Mesh
         The refined mesh; the input mesh itself when ``marked`` is empty.
     """
-    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
+    marked = np.asarray(list(marked))
     if marked.size == 0:
         return m
+    if marked.dtype.kind not in "iu":
+        raise MeshError(f"marked triangles must be integer indices, got "
+                        f"dtype {marked.dtype}")
+    marked = np.unique(marked.astype(np.int64))
     if marked.min() < 0 or marked.max() >= m.n_triangles:
         raise MeshError("marked triangle index out of range")
 

@@ -73,6 +73,27 @@ class TestUnitSquare:
             assert np.allclose(got, want, atol=1e-13)
 
 
+def edge_table_by_rows(m: Mesh):
+    """Edges and triangle edges from ``np.unique`` over the rows of the
+    sorted vertex pairs, the lexicographic order the mesh promises."""
+    pairs = np.sort(m.triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2),
+                    axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    return edges, inverse.reshape(-1, 3)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: refine_uniform(refine_uniform(unit_square_mesh(3))),
+    lambda: refine_marked(refine_marked(unit_square_mesh(4), [0, 7, 12]),
+                          [1, 2, 30, 31])], ids=["uniform", "bisected"])
+def test_edge_table_matches_row_unique(make_mesh):
+    m = make_mesh()
+    edges, triangle_edges = edge_table_by_rows(m)
+    assert m.edges.dtype == m.triangle_edges.dtype == np.int64
+    assert np.array_equal(m.edges, edges)
+    assert np.array_equal(m.triangle_edges, triangle_edges)
+
+
 class TestUniformRefinement:
     def test_four_way_split(self):
         m = refine_uniform(unit_square_mesh(1))
@@ -112,6 +133,25 @@ class TestMarkedRefinement:
     def test_empty_marking_is_identity(self):
         m = unit_square_mesh(2)
         assert refine_marked(m, []) is m
+        assert refine_marked(m, np.empty(0, dtype=np.int64)) is m
+
+    @pytest.mark.parametrize("marked", [
+        np.zeros(8, dtype=bool), np.eye(1, 8, 3, dtype=bool).ravel(), [1.7],
+        np.array([1.0]), ["1"]],
+        ids=["all_false_mask", "mask", "float", "integral_float", "string"])
+    def test_non_integer_marking_rejected(self, marked):
+        # a mask or a float would otherwise be read as triangle indices:
+        # an all-False mask refines triangle 0 and [1.7] triangle 1
+        with pytest.raises(MeshError, match="integer"):
+            refine_marked(unit_square_mesh(2), marked)
+
+    def test_integer_list_matches_array(self):
+        m = unit_square_mesh(2)
+        want = refine_marked(m, np.array([5, 3], dtype=np.int64))
+        for marked in ([3, 5], (5, 3, 3), [np.int32(3), np.uint8(5)]):
+            got = refine_marked(m, marked)
+            assert np.array_equal(got.triangles, want.triangles)
+            assert np.array_equal(got.parent, want.parent)
 
     def test_all_marked_lower_bound(self):
         m = unit_square_mesh(2)
