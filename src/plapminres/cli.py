@@ -12,12 +12,13 @@ export-mesh  write SVG/VTK snapshots of (refined) structured meshes
 
 Bad input (a config value, an option, a malformed file, an output
 directory that cannot be created, a load center x0 on a quadrature
-point) ends with an error message and exit code 2.  All numeric output
-is deterministic for identical invocations except the wall-clock column
-of the records CSV, also where a uniform cold-start study solves its
-finest level on a helper thread while the coarser levels run.  Thread
-count of the underlying linear algebra follows the usual environment
-variables (OMP_NUM_THREADS and friends).
+point, a problem too large for memory) ends with a one-line error
+message and exit code 2.  All numeric output is deterministic for
+identical invocations except the wall-clock column of the records CSV,
+also where a uniform cold-start study solves its finest level on a
+helper thread while the coarser levels run.  Thread count of the
+underlying linear algebra follows the usual environment variables
+(OMP_NUM_THREADS and friends).
 """
 
 from __future__ import annotations
@@ -181,12 +182,17 @@ def cmd_rates(args) -> int:
 def cmd_export_mesh(args) -> int:
     if args.refine < 0:
         raise ConfigError("--refine must be >= 0")
+    option = f"--n {args.n}"
     try:
         mesh = unit_square_mesh(args.n)
+        option = f"--refine {args.refine}"
+        for _ in range(args.refine):
+            mesh = refine_uniform(mesh)
     except MeshError as exc:
-        raise ConfigError(f"--n {args.n}: {exc}") from exc
-    for _ in range(args.refine):
-        mesh = refine_uniform(mesh)
+        raise ConfigError(f"{option}: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"{option}: the mesh does not fit in "
+                          "memory") from exc
     path = Path(args.out)
     if args.format == "svg":
         export_svg(mesh, path)
@@ -255,6 +261,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, FormsError, EstimateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # numpy names the allocation
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

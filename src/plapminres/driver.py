@@ -48,7 +48,7 @@ from .estimate import (
     estimator_global,
     true_error,
 )
-from .forms import LoadSpec, NonlinearForms, assemble_load, local_indicators
+from .forms import NonlinearForms, assemble_load, local_indicators
 from .linsolve import saddle_pattern
 from .mesh import Mesh, export_svg, mesh_size, refine_marked, refine_uniform, unit_square_mesh
 from .newton import (
@@ -129,17 +129,17 @@ class ProblemConfig:
 
 
 def _forms_factory(trial: DofMap, test: DofMap, load_free: np.ndarray,
-                   sigma: float, x0):
+                   problem: ExactSolution):
     """Factory over the exponent on one level's spaces, pattern and load.
 
-    Only the Dirichlet data follows the exponent: the benchmark solution
+    Only the Dirichlet data follows the exponent: the benchmark ``problem``
     at that exponent, evaluated at the boundary vertices in one call.
     """
     pattern = saddle_pattern(test, trial)
     boundary_points = trial.mesh.vertices[trial.constrained_dofs]
 
     def factory(p: float) -> NonlinearForms:
-        values = ExactSolution(p, sigma, x0).value(boundary_points)
+        values = replace(problem, p=p).value(boundary_points)
         return NonlinearForms(p, trial, test, pattern, load_free, values)
     return factory
 
@@ -156,9 +156,9 @@ def _solve_level(cfg: ProblemConfig, mesh: Mesh,
     """
     trial = build_space(mesh, P1)
     test = build_space(mesh, CR)
-    load_free = assemble_load(LoadSpec(sigma=cfg.sigma, x0=cfg.x0), test,
-                              triangle_rule(QUAD_DEGREE))
-    factory = _forms_factory(trial, test, load_free, cfg.sigma, cfg.x0)
+    problem = ExactSolution(cfg.p_target, cfg.sigma, cfg.x0)
+    load_free = assemble_load(problem, test, triangle_rule(QUAD_DEGREE))
+    factory = _forms_factory(trial, test, load_free, problem)
     forms = factory(cfg.p_target)
 
     state = None

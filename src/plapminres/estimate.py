@@ -1,5 +1,6 @@
-"""Error estimation, benchmarking against the radial exact solution,
-Dörfler marking and convergence-rate extraction."""
+"""The benchmark problem (:class:`ExactSolution`: the load, its radial
+solution and that solution's gradient), error estimation, Dörfler marking
+and convergence-rate extraction."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import numpy as np
 
 from .forms import NonlinearForms
 from .spaces import (
-    QUAD_CHUNK,
     DofMap,
     QuadRule,
     all_element_gradients,
@@ -31,9 +31,10 @@ class ExactSolution:
         u(x) = (p-1)/(p-sigma) * (1/(2-sigma))^(1/(p-1)) * (1 - r^q),
         q = (p - sigma)/(p - 1),
 
-    which satisfies -div(|grad u|^(p-2) grad u) = r^(-sigma) and vanishes
-    on the circle r = 1.  The gradient magnitude behaves like r^(q-1); for
-    sigma > 1 it blows up at x0 and the evaluation refuses r = 0.
+    which satisfies -div(|grad u|^(p-2) grad u) = r^(-sigma), the load
+    :meth:`source`, and vanishes on the circle r = 1.  The gradient
+    magnitude behaves like r^(q-1); for sigma > 1 it blows up at x0 and
+    the evaluation refuses r = 0.
     """
 
     p: float
@@ -57,6 +58,11 @@ class ExactSolution:
     def amplitude(self) -> float:
         return ((self.p - 1.0) / (self.p - self.sigma)
                 * (1.0 / (2.0 - self.sigma)) ** (1.0 / (self.p - 1.0)))
+
+    def source(self, points: np.ndarray) -> np.ndarray:
+        """The load f = r^(-sigma) on an (..., 2) array of points."""
+        diff = points - np.asarray(self.x0)
+        return np.sqrt((diff ** 2).sum(axis=-1)) ** (-self.sigma)
 
     def value(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -129,14 +135,12 @@ def true_error(trial: DofMap, u_coeffs: np.ndarray, exact_gradient,
     ``exact_gradient`` maps an (..., 2) point array to gradients of the
     same shape (e.g. :meth:`ExactSolution.gradient`); componentwise
     p-powers match the trial-space norm convention.  The points are
-    evaluated in blocks of ``QUAD_CHUNK`` triangles.
+    evaluated block by block (:meth:`~plapminres.spaces.QuadRule.blocks`).
     """
     m = trial.mesh
     g_h = all_element_gradients(trial, u_coeffs)
     per_element = np.empty(m.n_triangles)
-    for start in range(0, m.n_triangles, QUAD_CHUNK):
-        block = slice(start, start + QUAD_CHUNK)
-        pts = quad.physical_points(m.vertices[m.triangles[block]])  # (chunk, nq, 2)
+    for block, pts in quad.blocks(m):
         diff = np.abs(exact_gradient(pts) - g_h[block, None, :]) ** p
         per_element[block] = 2.0 * m.areas[block] * np.einsum(
             "q,tqd->t", quad.weights, diff)

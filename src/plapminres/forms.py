@@ -36,7 +36,7 @@ never regularized.
 
 The per-trial forms (both actions and both Jacobians) take the (nt, 2)
 element gradients of their argument, computed once per Newton trial; the
-once-per-level load and indicators take coefficients.
+indicators take coefficients, and the once-per-level load a given source.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .linsolve import SaddlePattern
 from .spaces import (
     CR,
     P1,
-    QUAD_CHUNK,
     DofMap,
     QuadRule,
     all_element_gradients,
@@ -62,27 +61,6 @@ EPS_FLOOR = 1e-10
 
 class FormsError(ValueError):
     """Raised for inconsistent form setup."""
-
-
-@dataclass(frozen=True, eq=False)
-class LoadSpec:
-    """The benchmark source f(x) = |x - x0|^(-sigma).
-
-    sigma < 2 keeps f locally integrable in 2D; sigma = 0 gives f = 1.
-    """
-
-    sigma: float = 0.97
-    x0: tuple[float, float] = (-1.0, -1.0)
-
-    def __post_init__(self):
-        if not self.sigma < 2.0:
-            raise FormsError("sigma must be < 2 for an integrable load")
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the source on an (..., 2) array of points."""
-        diff = points - np.asarray(self.x0)
-        r = np.sqrt((diff ** 2).sum(axis=-1))
-        return r ** (-self.sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,25 +179,25 @@ def assemble_duality_jacobian(forms: NonlinearForms,
     return forms.mesh.areas[:, None] * d
 
 
-def assemble_load(load: LoadSpec, test_dm: DofMap, quad: QuadRule) -> np.ndarray:
-    """Load functional over the free CR test DOFs.
+def assemble_load(problem, test_dm: DofMap, quad: QuadRule) -> np.ndarray:
+    """Load functional of ``problem.source`` over the free CR test DOFs.
 
-    Integrates f against the CR basis with the given rule, in blocks of
-    ``QUAD_CHUNK`` triangles so that the point arrays stay small; all
-    quadrature points are strictly interior, so a singular radial load is
-    never sampled at its center (checked, raising :class:`FormsError`).
+    ``problem`` (the benchmark's :class:`~plapminres.estimate.ExactSolution`)
+    gives the source and its center ``x0``.  The source is integrated
+    against the CR basis with the given rule, one :meth:`QuadRule.blocks`
+    block at a time; all quadrature points are strictly interior, so a
+    singular radial load is never sampled at its center (checked, raising
+    :class:`FormsError`).
     """
     m = test_dm.mesh
     phi = 1.0 - 2.0 * quad.points  # CR basis at the rule's barycentric points
     cells = np.empty((m.n_triangles, 3))
-    for start in range(0, m.n_triangles, QUAD_CHUNK):
-        block = slice(start, start + QUAD_CHUNK)
-        pts = quad.physical_points(m.vertices[m.triangles[block]])  # (chunk, nq, 2)
-        dist = np.linalg.norm(pts - np.asarray(load.x0), axis=-1)
+    for block, pts in quad.blocks(m):
+        dist = np.linalg.norm(pts - np.asarray(problem.x0), axis=-1)
         if not np.all(dist > 0.0):
             raise FormsError("a quadrature point coincides with the load "
                              "center x0")
-        fx = load(pts)
+        fx = problem.source(pts)
         cells[block] = (2.0 * m.areas[block, None]
                         * ((fx * quad.weights) @ phi))
     full = np.bincount(test_dm.element_dofs.ravel(), weights=cells.ravel(),

@@ -81,12 +81,11 @@ CERTIFICATE_TOL = 1e-10  # on the relative residual or the backward error
 class LinearSolveError(RuntimeError):
     """Solver could not reach the requested residual.
 
-    Carries the relative residual that was actually achieved.
+    The message states the relative residual that was actually achieved.
     """
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved relative residual {achieved:.3e})")
-        self.achieved = achieved
 
 
 @dataclass(frozen=True, eq=False)

@@ -115,11 +115,14 @@ def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _build_mesh(vertices, triangles, *, refinement_edge=None, parent=None,
-                vertex_parents=None) -> Mesh:
+                midpoint_parents=None) -> Mesh:
     """Assemble a Mesh from vertices and triangles, deriving connectivity.
 
     When ``refinement_edge`` is None, each triangle gets its longest edge,
-    ties broken by the lowest global edge index.
+    ties broken by the lowest global edge index.  ``midpoint_parents``
+    holds the endpoint pairs of the edge midpoints that a refinement
+    appends to the vertices; every vertex before them is inherited and
+    gets the parents ``(i, i)``.
     """
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -165,9 +168,11 @@ def _build_mesh(vertices, triangles, *, refinement_edge=None, parent=None,
 
     if parent is None:
         parent = np.full(nt, -1, dtype=np.int64)
-    if vertex_parents is None:
-        idx = np.arange(nv, dtype=np.int64)
-        vertex_parents = np.stack([idx, idx], axis=1)
+    if midpoint_parents is None:
+        midpoint_parents = np.empty((0, 2), dtype=np.int64)
+    inherited = np.arange(nv - len(midpoint_parents), dtype=np.int64)
+    vertex_parents = np.vstack([np.stack([inherited, inherited], axis=1),
+                                midpoint_parents])
 
     # grad(lambda_i) = rot90(x_{i+2} - x_{i+1}) / (2 area)
     coords = vertices[triangles]
@@ -186,8 +191,7 @@ def _build_mesh(vertices, triangles, *, refinement_edge=None, parent=None,
 
     return Mesh(vertices, triangles, edges, triangle_edges,
                 boundary_edge_flags, refinement_edge,
-                np.asarray(parent, dtype=np.int64),
-                np.asarray(vertex_parents, dtype=np.int64),
+                np.asarray(parent, dtype=np.int64), vertex_parents,
                 areas, grad_lambda)
 
 
@@ -248,10 +252,8 @@ def refine_uniform(m: Mesh) -> Mesh:
     ], axis=1).reshape(-1, 3)
 
     parent = np.repeat(np.arange(m.n_triangles, dtype=np.int64), 4)
-    old = np.arange(nv, dtype=np.int64)
-    vertex_parents = np.vstack([np.stack([old, old], axis=1), m.edges])
     return _build_mesh(vertices, children, parent=parent,
-                       vertex_parents=vertex_parents)
+                       midpoint_parents=m.edges)
 
 
 def refine_marked(m: Mesh, marked) -> Mesh:
@@ -311,9 +313,6 @@ def refine_marked(m: Mesh, marked) -> Mesh:
     midvertex = np.full(m.n_edges, -1, dtype=np.int64)
     midvertex[marked_edge_ids] = nv + np.arange(marked_edge_ids.size)
     vertices = np.vstack([m.vertices, m.edge_midpoints()[marked_edge_ids]])
-    old = np.arange(nv, dtype=np.int64)
-    vertex_parents = np.vstack([np.stack([old, old], axis=1),
-                                m.edges[marked_edge_ids]])
 
     # one (nt, 4, 3) child table, left half before right half.  Triangle
     # (peak, p, q) with refinement edge (p, q) is bisected at mid; its
@@ -340,7 +339,7 @@ def refine_marked(m: Mesh, marked) -> Mesh:
     return _build_mesh(vertices, children[keep],
                        refinement_edge=child_ref[keep],
                        parent=np.repeat(rows, keep.sum(axis=1)),
-                       vertex_parents=vertex_parents)
+                       midpoint_parents=m.edges[marked_edge_ids])
 
 
 def mesh_size(m: Mesh) -> float:

@@ -26,7 +26,8 @@ sparse maps built once with the space: ``gradient_map`` takes a full
 coefficient vector to the element gradients, and ``flux_map``, its
 transpose restricted to the free DOFs, takes (area-weighted) element
 fluxes to the functional ``v -> sum_T flux_T . grad v_T`` over the free
-basis (:func:`integrate_flux`).
+basis (:func:`integrate_flux`).  Quadrature of the load and the true
+error runs over the blocks of triangles that :meth:`QuadRule.blocks` yields.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ class QuadRule:
     def physical_points(self, coords: np.ndarray) -> np.ndarray:
         """Map to physical coordinates; coords is (nt, 3, 2) or (3, 2)."""
         return self.points @ coords
+
+    def blocks(self, m: Mesh):
+        """Yield the slice ``block`` of each run of ``QUAD_CHUNK`` triangles
+        of ``m``, in order, with their (chunk, nq, 2) physical points."""
+        for start in range(0, m.n_triangles, QUAD_CHUNK):
+            block = slice(start, start + QUAD_CHUNK)
+            yield block, self.physical_points(m.vertices[m.triangles[block]])
 
 
 def gauss_jacobi_1_0(n: int) -> tuple[np.ndarray, np.ndarray]:

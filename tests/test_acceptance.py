@@ -19,7 +19,6 @@ from plapminres.estimate import (
     true_error,
 )
 from plapminres.forms import (
-    LoadSpec,
     NonlinearForms,
     apply_duality_map,
     apply_plaplacian,
@@ -70,9 +69,8 @@ class TestCriterion1PoissonOracle:
         t0 = time.perf_counter()
         mesh = unit_square_mesh(4)
         test = build_space(mesh, CR)
-        load_free = assemble_load(LoadSpec(sigma=0.97, x0=(-1.0, -1.0)),
-                                  test, triangle_rule(10))
         es = ExactSolution(2.0, 0.97, (-1.0, -1.0))
+        load_free = assemble_load(es, test, triangle_rule(10))
         trial = build_space(mesh, P1)
         boundary = es.value(mesh.vertices[trial.constrained_dofs])
         forms = NonlinearForms(2.0, trial, test, saddle_pattern(test, trial),
@@ -130,7 +128,7 @@ class TestCriterion4AdaptiveTracking:
     def test_singular_corner_adaptivity(self):
         sigma, x0, p_target, theta = 0.97, (0.0, 0.0), 1.5, 0.5
         opts = SolverOptions()
-        load = LoadSpec(sigma=sigma, x0=x0)
+        es = ExactSolution(p_target, sigma, x0)
         mesh = unit_square_mesh(16)
         records = []
         near_fractions = []
@@ -139,7 +137,7 @@ class TestCriterion4AdaptiveTracking:
         for step in range(n_steps):
             trial = build_space(mesh, P1)
             test = build_space(mesh, CR)
-            load_free = assemble_load(load, test, triangle_rule(10))
+            load_free = assemble_load(es, test, triangle_rule(10))
             boundary = mesh.vertices[trial.constrained_dofs]
             pattern = saddle_pattern(test, trial)
 
@@ -150,7 +148,6 @@ class TestCriterion4AdaptiveTracking:
 
             state, itlog = continuation_solve(p_target, factory, opts)
             forms = factory(p_target)
-            es = ExactSolution(p_target, sigma, x0)
             records.append((
                 forms.trial.n_free + test.n_free,
                 true_error(forms.trial, state.u, es.gradient,
@@ -339,7 +336,6 @@ class TestCriterion5PropertySuite:
     def test_manufactured_solution_consistency(self):
         rng = np.random.default_rng(104)
         es = ExactSolution(3.0, 0.97, (0.0, 0.0))
-        load = LoadSpec(sigma=es.sigma, x0=es.x0)
 
         def flux(x):
             g = es.gradient(x)
@@ -359,7 +355,7 @@ class TestCriterion5PropertySuite:
             r = rng.uniform(0.1, 0.9)
             th = rng.uniform(0.05, np.pi / 2 - 0.05)
             x = np.array([r * np.cos(th), r * np.sin(th)])
-            want = float(load(x))
+            want = float(es.source(x))
             rel = abs(-divergence(x) - want) / want
             worst = max(worst, rel)
             assert rel <= 1e-8

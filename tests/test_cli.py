@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import plapminres
+from plapminres import cli
 from plapminres.cli import ConfigError, config_from_dict, main
 from plapminres.driver import ProblemConfig
 from plapminres.estimate import StudyRecord
@@ -397,3 +398,45 @@ class TestExportMesh:
                      "--out", str(out)])
         assert code == 0
         assert "UNSTRUCTURED_GRID" in out.read_text()
+
+
+class TestOutOfMemory:
+    """A problem too large for memory ends with one line on stderr and
+    exit 2.  The tests raise MemoryError where the program would allocate
+    instead of allocating."""
+
+    NUMPY_MESSAGE = "Unable to allocate 74.5 GiB for an array"
+
+    @classmethod
+    def exhausted(cls, *args):
+        raise MemoryError(cls.NUMPY_MESSAGE)
+
+    @pytest.mark.parametrize("target,argv,needle", [
+        ("unit_square_mesh", ["--n", "100000"], "--n 100000"),
+        ("refine_uniform", ["--n", "2", "--refine", "14"], "--refine 14"),
+    ], ids=["n", "refine"])
+    def test_export_mesh_names_the_option(self, tmp_path, capsys,
+                                          monkeypatch, target, argv, needle):
+        monkeypatch.setattr(cli, target, self.exhausted)
+        out = tmp_path / "mesh.svg"
+        assert_input_error(["export-mesh", "--out", str(out)] + argv, capsys,
+                           needle)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message", [NUMPY_MESSAGE, ""],
+                             ids=["numpy", "bare"])
+    def test_study_reports_one_line(self, tmp_path, capsys, monkeypatch,
+                                    message):
+        def exhausted(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_study", exhausted)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"p_target": 3.0, "initial_n": 100000, "max_levels": 1}))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert message in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

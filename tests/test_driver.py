@@ -8,7 +8,7 @@ import pytest
 from plapminres import driver, newton
 from plapminres.driver import ProblemConfig, pre_adapt_mesh, run_study, transfer_state
 from plapminres.estimate import ExactSolution, estimator_global, true_error
-from plapminres.forms import LoadSpec, assemble_load
+from plapminres.forms import assemble_load
 from plapminres.mesh import mesh_size, refine_marked, refine_uniform, unit_square_mesh
 from plapminres.newton import ContinuationError, DiscreteState, SolverOptions
 from plapminres.spaces import (
@@ -43,9 +43,8 @@ class TestSingleLevel:
 
         mesh = unit_square_mesh(4)
         test = build_space(mesh, CR)
-        load_free = assemble_load(LoadSpec(sigma=cfg.sigma, x0=cfg.x0), test,
-                                  triangle_rule(10))
         es = ExactSolution(2.0, cfg.sigma, cfg.x0)
+        load_free = assemble_load(es, test, triangle_rule(10))
         trial = build_space(mesh, P1)
         boundary = es.value(mesh.vertices[trial.constrained_dofs])
         u_ref = p1_poisson_galerkin(mesh, boundary, load_free, test)
@@ -154,7 +153,7 @@ class TestLevelSetup:
         trial = build_space(mesh, P1)
         test = build_space(mesh, CR)
         factory = driver._forms_factory(trial, test, np.zeros(test.n_free),
-                                        0.97, x0)
+                                        ExactSolution(3.0, 0.97, x0))
         points = mesh.vertices[trial.constrained_dofs]
         for p in (1.5, 2.0, 2.7, 3.0):
             es = ExactSolution(p, 0.97, x0)

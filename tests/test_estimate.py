@@ -12,7 +12,7 @@ from plapminres.estimate import (
     fit_rate,
     true_error,
 )
-from plapminres.forms import LoadSpec, NonlinearForms, assemble_load, local_indicators
+from plapminres.forms import NonlinearForms, assemble_load, local_indicators
 from plapminres.linsolve import saddle_pattern
 from plapminres.mesh import refine_uniform, unit_square_mesh
 from plapminres.spaces import (
@@ -34,9 +34,9 @@ RADIAL_SEMINORM = {1.5: 1.1018949656245927, 3.0: 0.8955163879488652}
 def make_forms(mesh, p):
     trial = build_space(mesh, P1)
     test = build_space(mesh, CR)
-    load = LoadSpec(sigma=0.0)  # f = 1
+    problem = ExactSolution(p, 0.0, (-1.0, -1.0))  # f = 1
     return NonlinearForms(p, trial, test, saddle_pattern(test, trial),
-                          assemble_load(load, test, triangle_rule(2)),
+                          assemble_load(problem, test, triangle_rule(2)),
                           np.zeros(trial.constrained_dofs.size))
 
 
@@ -79,7 +79,6 @@ class TestExactSolution:
         # nested central differences of the closed-form flux as the oracle
         rng = np.random.default_rng(1)
         es = ExactSolution(3.0, 0.97, (0.0, 0.0))
-        load = LoadSpec(sigma=es.sigma, x0=es.x0)
 
         def flux(x):
             g = es.gradient(x)
@@ -98,7 +97,7 @@ class TestExactSolution:
             r = rng.uniform(0.1, 0.9)
             th = rng.uniform(0.05, np.pi / 2 - 0.05)
             x = np.array([r * np.cos(th), r * np.sin(th)])
-            want = float(load(x))
+            want = float(es.source(x))
             assert -divergence(x) == pytest.approx(want, rel=1e-8)
 
     def test_parameter_validation(self):
@@ -108,6 +107,21 @@ class TestExactSolution:
             ExactSolution(2.0, 2.0, (0.0, 0.0))
         with pytest.raises(EstimateError, match="differ from sigma"):
             ExactSolution(1.5, 1.5, (0.0, 0.0))
+
+
+class TestSource:
+    def test_radial_values(self):
+        es = ExactSolution(3.0, 0.5, (0.0, 0.0))
+        pts = np.array([[4.0, 0.0], [0.0, 9.0]])
+        assert np.allclose(es.source(pts), [0.5, 1.0 / 3.0])
+        # sigma = 0 gives f = 1, on a (chunk, nq, 2) block of points too
+        flat = ExactSolution(3.0, 0.0, (-1.0, -1.0))
+        block = np.random.default_rng(5).uniform(size=(4, 7, 2))
+        assert np.array_equal(flat.source(block), np.ones((4, 7)))
+
+    def test_sigma_bound(self):
+        with pytest.raises(EstimateError, match="sigma must be < 2"):
+            ExactSolution(3.0, 2.0, (-1.0, -1.0))
 
 
 class TestEstimatorGlobal:

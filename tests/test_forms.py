@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from plapminres.estimate import ExactSolution
 from plapminres.forms import (
     FormsError,
-    LoadSpec,
     NonlinearForms,
     apply_duality_map,
     apply_plaplacian,
@@ -30,12 +30,11 @@ from tests.oracles import (
 )
 
 
-def make_forms(mesh, p, load=None, quad_degree=4):
+def make_forms(mesh, p, quad_degree=4):
     trial = build_space(mesh, P1)
     test = build_space(mesh, CR)
-    if load is None:
-        load = LoadSpec(sigma=0.0)  # f = 1
-    load_free = assemble_load(load, test, triangle_rule(quad_degree))
+    problem = ExactSolution(p, 0.0, (-1.0, -1.0))  # f = 1
+    load_free = assemble_load(problem, test, triangle_rule(quad_degree))
     return NonlinearForms(p, trial, test, saddle_pattern(test, trial),
                           load_free, np.zeros(trial.constrained_dofs.size))
 
@@ -52,17 +51,6 @@ def stiffness_action_oracle(forms, coeffs, kind):
             e = mesh.triangle_edges[t, i]
             out[e] += mesh.areas[t] * float(g[t] @ grad_cr[t, i])
     return out[forms.test.free_dofs]
-
-
-class TestLoadSpec:
-    def test_radial_values(self):
-        load = LoadSpec(sigma=0.5, x0=(0.0, 0.0))
-        pts = np.array([[4.0, 0.0], [0.0, 9.0]])
-        assert np.allclose(load(pts), [0.5, 1.0 / 3.0])
-
-    def test_sigma_bound(self):
-        with pytest.raises(FormsError):
-            LoadSpec(sigma=2.0)
 
 
 class TestNonlinearForms:
@@ -270,8 +258,8 @@ class TestAssembleLoad:
     def test_unit_load_gives_support_area_thirds(self):
         m = unit_square_mesh(2)
         test = build_space(m, CR)
-        load = LoadSpec(sigma=0.0)  # f = 1
-        vec = assemble_load(load, test, triangle_rule(2))
+        problem = ExactSolution(2.0, 0.0, (-1.0, -1.0))  # f = 1
+        vec = assemble_load(problem, test, triangle_rule(2))
         support = np.zeros(test.n_total)
         for t in range(m.n_triangles):
             for e in m.triangle_edges[t]:
@@ -283,27 +271,28 @@ class TestAssembleLoad:
         m = unit_square_mesh(16)
         assert m.n_triangles > QUAD_CHUNK
         test = build_space(m, CR)
-        load = LoadSpec(sigma=0.97, x0=(0.0, 0.0))
+        problem = ExactSolution(2.0, 0.97, (0.0, 0.0))
         quad = triangle_rule(10)
-        fx = load(quad.physical_points(m.vertices[m.triangles]))  # every point at once
+        # every point at once
+        fx = problem.source(quad.physical_points(m.vertices[m.triangles]))
         cells = 2.0 * m.areas[:, None] * ((fx * quad.weights)
                                           @ (1.0 - 2.0 * quad.points))
         full = np.bincount(m.triangle_edges.ravel(), weights=cells.ravel(),
                            minlength=test.n_total)
-        assert np.array_equal(assemble_load(load, test, quad),
+        assert np.array_equal(assemble_load(problem, test, quad),
                               full[test.free_dofs])
 
     def test_singular_load_is_finite(self):
         m = unit_square_mesh(4)
         test = build_space(m, CR)
-        vec = assemble_load(LoadSpec(sigma=0.97, x0=(-1.0, -1.0)),
+        vec = assemble_load(ExactSolution(2.0, 0.97, (-1.0, -1.0)),
                             test, triangle_rule(10))
         assert np.all(np.isfinite(vec))
 
     def test_corner_singularity_is_finite(self):
         m = unit_square_mesh(4)
         test = build_space(m, CR)
-        vec = assemble_load(LoadSpec(sigma=0.97, x0=(0.0, 0.0)),
+        vec = assemble_load(ExactSolution(2.0, 0.97, (0.0, 0.0)),
                             test, triangle_rule(10))
         assert np.all(np.isfinite(vec))
 

@@ -12,7 +12,6 @@ from plapminres import driver, linsolve
 from plapminres.driver import ProblemConfig, pre_adapt_mesh, run_study
 from plapminres.estimate import ExactSolution
 from plapminres.forms import (
-    LoadSpec,
     NonlinearForms,
     assemble_duality_jacobian,
     assemble_load,
@@ -614,10 +613,9 @@ class TestColdCertificate:
         mesh = unit_square_mesh(n)
         test = build_space(mesh, CR)
         trial = build_space(mesh, P1)
-        load = assemble_load(LoadSpec(sigma=sigma, x0=x0), test,
-                             triangle_rule(10))
-        boundary = ExactSolution(p, sigma, x0).value(
-            mesh.vertices[trial.constrained_dofs])
+        problem = ExactSolution(p, sigma, x0)
+        load = assemble_load(problem, test, triangle_rule(10))
+        boundary = problem.value(mesh.vertices[trial.constrained_dofs])
         forms = NonlinearForms(p, trial, test, saddle_pattern(test, trial),
                                load, boundary)
         # the cold state with its Dirichlet data clamped in, as Newton does

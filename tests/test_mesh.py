@@ -94,6 +94,30 @@ def test_edge_table_matches_row_unique(make_mesh):
     assert np.array_equal(m.triangle_edges, triangle_edges)
 
 
+@pytest.mark.parametrize("refine", [
+    refine_uniform, lambda m: refine_marked(m, [1, 2, 30, 31])],
+    ids=["uniform", "bisected"])
+def test_vertex_genealogy(refine):
+    coarse = unit_square_mesh(4)
+    fine = refine(coarse)
+    nv = coarse.n_vertices
+    own = np.repeat(np.arange(nv)[:, None], 2, axis=1)
+    assert np.array_equal(coarse.vertex_parents, own)
+    # inherited vertices keep their index and are their own parents; each
+    # new vertex is the midpoint of a distinct coarse edge
+    assert np.array_equal(fine.vertices[:nv], coarse.vertices)
+    assert np.array_equal(fine.vertex_parents[:nv], own)
+    new = fine.vertex_parents[nv:]
+    assert new.shape[0] == fine.n_vertices - nv > 0
+    assert np.unique(new, axis=0).shape == new.shape
+    assert np.array_equal(new, np.sort(new, axis=1))
+    assert np.array_equal(fine.vertices[nv:],
+                          0.5 * (coarse.vertices[new[:, 0]]
+                                 + coarse.vertices[new[:, 1]]))
+    assert fine.vertex_parents.dtype == np.int64
+    assert not fine.vertex_parents.flags.writeable
+
+
 class TestUniformRefinement:
     def test_four_way_split(self):
         m = refine_uniform(unit_square_mesh(1))

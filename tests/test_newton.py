@@ -8,7 +8,6 @@ from plapminres import estimate, newton, spaces
 from plapminres import forms as forms_module
 from plapminres.estimate import ExactSolution
 from plapminres.forms import (
-    LoadSpec,
     NonlinearForms,
     apply_duality_map,
     apply_jacobian_transpose,
@@ -52,7 +51,7 @@ def smooth_setup(n):
     mesh = unit_square_mesh(n)
     trial = build_space(mesh, P1)
     test = build_space(mesh, CR)
-    load_free = assemble_load(LoadSpec(sigma=SIGMA, x0=X0), test,
+    load_free = assemble_load(ExactSolution(2.0, SIGMA, X0), test,
                               triangle_rule(10))
     boundary = mesh.vertices[trial.constrained_dofs]
     pattern = saddle_pattern(test, trial)
@@ -226,10 +225,9 @@ class TestGradientReuse:
             mesh = refine_marked(mesh, np.arange(0, mesh.n_triangles, 3))
         trial = build_space(mesh, P1)
         test = build_space(mesh, CR)
-        load_free = assemble_load(LoadSpec(sigma=SIGMA, x0=(0.0, 0.0)), test,
-                                  triangle_rule(10))
-        boundary = ExactSolution(1.5, SIGMA, (0.0, 0.0)).value(
-            mesh.vertices[trial.constrained_dofs])
+        problem = ExactSolution(1.5, SIGMA, (0.0, 0.0))
+        load_free = assemble_load(problem, test, triangle_rule(10))
+        boundary = problem.value(mesh.vertices[trial.constrained_dofs])
         forms = NonlinearForms(1.5, trial, test, saddle_pattern(test, trial),
                                load_free, boundary)
         calls = Counter()

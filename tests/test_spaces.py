@@ -11,6 +11,7 @@ from plapminres.mesh import refine_marked, refine_uniform, unit_square_mesh
 from plapminres.spaces import (
     CR,
     P1,
+    QUAD_CHUNK,
     SpaceError,
     all_element_gradients,
     broken_seminorm,
@@ -150,6 +151,24 @@ class TestQuadRule:
                 got = float(area2 * rule.weights
                             @ (pts[:, 0] ** a * pts[:, 1] ** b))
                 assert abs(got - exact) <= 1e-12 * max(abs(exact), 1e-6)
+
+    @pytest.mark.parametrize("n", [3, 12], ids=["one-partial-block",
+                                                "full-and-partial-blocks"])
+    def test_blocks_cover_each_triangle_once_in_order(self, n):
+        mesh = unit_square_mesh(n)
+        assert mesh.n_triangles % QUAD_CHUNK != 0
+        rule = triangle_rule(10)
+        blocks = list(rule.blocks(mesh))
+        assert len(blocks) == -(-mesh.n_triangles // QUAD_CHUNK)
+        triangles = np.arange(mesh.n_triangles)
+        assert np.array_equal(
+            np.concatenate([triangles[block] for block, _ in blocks]),
+            triangles)
+        assert all(triangles[block].size == QUAD_CHUNK
+                   for block, _ in blocks[:-1])
+        assert np.array_equal(
+            np.concatenate([points for _, points in blocks]),
+            rule.physical_points(mesh.vertices[mesh.triangles]))
 
 
 class TestElementGradient:
