@@ -13,12 +13,13 @@ export-mesh  write SVG/VTK snapshots of (refined) structured meshes
 Bad input (a config value, an option, a malformed file, an output
 directory that cannot be created, a load center x0 on a quadrature
 point, a problem too large for memory) ends with a one-line error
-message and exit code 2.  All numeric output is deterministic for
-identical invocations except the wall-clock column of the records CSV,
-also where a uniform cold-start study solves its finest level on a
-helper thread while the coarser levels run.  Thread count of the
-underlying linear algebra follows the usual environment variables
-(OMP_NUM_THREADS and friends).
+message and exit code 2.  Ctrl-C ends with ``error: interrupted`` and
+exit code 130.  All numeric output is deterministic for identical
+invocations except the wall-clock column of the records CSV, also where
+a uniform cold-start study solves its finest level on a helper thread
+while the coarser levels run.  Thread count of the underlying linear
+algebra follows the usual environment variables (OMP_NUM_THREADS and
+friends).
 """
 
 from __future__ import annotations
@@ -266,6 +267,9 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""  # numpy names the allocation
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

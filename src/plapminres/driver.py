@@ -34,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -129,36 +130,42 @@ class ProblemConfig:
 
 
 def _forms_factory(trial: DofMap, test: DofMap, load_free: np.ndarray,
-                   problem: ExactSolution):
+                   problem: ExactSolution, stop=None):
     """Factory over the exponent on one level's spaces, pattern and load.
 
     Only the Dirichlet data follows the exponent: the benchmark ``problem``
     at that exponent, evaluated at the boundary vertices in one call.
+    Once the event ``stop`` is set, every call raises a
+    :class:`ContinuationError`.
     """
     pattern = saddle_pattern(test, trial)
     boundary_points = trial.mesh.vertices[trial.constrained_dofs]
 
     def factory(p: float) -> NonlinearForms:
+        if stop is not None and stop.is_set():
+            raise ContinuationError("study stopped", IterationLog())
         values = replace(problem, p=p).value(boundary_points)
         return NonlinearForms(p, trial, test, pattern, load_free, values)
     return factory
 
 
 def _solve_level(cfg: ProblemConfig, mesh: Mesh,
-                 previous: tuple[NonlinearForms, DiscreteState] | None = None
+                 previous: tuple[NonlinearForms, DiscreteState] | None = None,
+                 stop: threading.Event | None = None
                  ) -> tuple[NonlinearForms, DiscreteState, IterationLog]:
     """Set up one level once and solve it at the target exponent.
 
     Returns the forms at ``cfg.p_target``, the final state and the
     level's iteration log.  ``previous`` is the coarser level's
     ``(forms, state)`` when warm-starting; its state is transferred onto
-    this level's spaces and tried before the continuation.
+    this level's spaces and tried before the continuation.  ``stop`` is
+    the event that :func:`_forms_factory` checks.
     """
     trial = build_space(mesh, P1)
     test = build_space(mesh, CR)
     problem = ExactSolution(cfg.p_target, cfg.sigma, cfg.x0)
     load_free = assemble_load(problem, test, triangle_rule(QUAD_DEGREE))
-    factory = _forms_factory(trial, test, load_free, problem)
+    factory = _forms_factory(trial, test, load_free, problem, stop)
     forms = factory(cfg.p_target)
 
     state = None
@@ -219,7 +226,8 @@ def _levels(cfg: ProblemConfig, mesh: Mesh, solve):
     uniform ladder is refined first, one helper thread solves the finest
     level (the costliest) and the calling thread solves the coarser ones
     in order beside it.  A level's exception is raised when it is reached,
-    so a failing coarser level counts first, as in a serial run.
+    so a failing coarser level counts first, as in a serial run.  Leaving
+    the ladder early stops the helper at its next exponent and joins it.
     """
     if (cfg.strategy == "adaptive" or cfg.warm_start == "direct"
             or cfg.max_levels == 1):
@@ -239,34 +247,38 @@ def _levels(cfg: ProblemConfig, mesh: Mesh, solve):
     ladder = [mesh]
     for _ in range(cfg.max_levels - 1):
         ladder.append(refine_uniform(ladder[-1]))
-    # leaving the block, however it is left, waits for the helper, so no
-    # thread outlives the study
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
-        finest = pool.submit(solve, ladder[-1])
-        for coarser in ladder[:-1]:
-            yield solve(coarser)
-        yield finest.result()
+        finest = pool.submit(solve, ladder[-1], None, stop)
+        try:
+            for coarser in ladder[:-1]:
+                yield solve(coarser)
+            yield finest.result()
+        finally:
+            stop.set()
 
 
 def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
     """Execute the configured study and return one record per level.
 
-    A continuation abort terminates the study early: the records collected
-    so far are returned and a diagnostic is logged (and written next to
-    the other artifacts when an output directory is configured, with the
-    aborted level's Newton solves in the telemetry).
+    The output directory, if any, is made first; however the study ends,
+    the solved levels' artifacts are written there once.  A continuation
+    abort returns the records so far and logs its diagnostic; any other
+    exception, an interrupt too, is named in the diagnostic and re-raised.
     """
+    out = Path(cfg.output_dir) if cfg.output_dir else None
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
     mesh = unit_square_mesh(cfg.initial_n)
     if cfg.strategy == "pre_adapted_then_uniform":
         mesh = pre_adapt_mesh(cfg, mesh)
 
-    out = _ArtifactWriter(cfg) if cfg.output_dir else None
     es_target = ExactSolution(cfg.p_target, cfg.sigma, cfg.x0)
     error_rule = triangle_rule(QUAD_DEGREE)
 
-    def solve(mesh: Mesh, previous=None):
+    def solve(mesh: Mesh, previous=None, stop=None):
         t0 = time.perf_counter()
-        forms, state, itlog = _solve_level(cfg, mesh, previous)
+        forms, state, itlog = _solve_level(cfg, mesh, previous, stop)
         error = true_error(forms.trial, state.u, es_target.gradient,
                            error_rule, cfg.p_target)
         eta = estimator_global(forms, state.r)
@@ -274,14 +286,17 @@ def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
         return forms, state, itlog, error, eta, wall_ms
 
     records: list[StudyRecord] = []
+    telemetry: list[str] = []
     diagnostic = None
     try:
-        # closing: a failure in the loop body stops the coarser levels at
-        # once and waits for the helper's level
+        # closing: a failure in the loop body stops every level at once
         with contextlib.closing(_levels(cfg, mesh, solve)) as levels:
             for level, (forms, _, itlog, error, eta, wall_ms) in enumerate(
                     levels):
                 mesh = forms.trial.mesh
+                if (out and cfg.strategy == "adaptive"
+                        and level in SNAPSHOT_LEVELS):
+                    export_svg(mesh, out / f"mesh_step_{level}.svg")
                 records.append(StudyRecord(
                     level=level,
                     n_free_trial=forms.trial.n_free,
@@ -297,20 +312,36 @@ def run_study(cfg: ProblemConfig) -> list[StudyRecord]:
                     damping_events=itlog.total_damping_events,
                     wall_ms=wall_ms,
                 ))
-                if out:
-                    out.telemetry(level, itlog)
-                    if (cfg.strategy == "adaptive"
-                            and level in SNAPSHOT_LEVELS):
-                        out.snapshot(level, mesh)
+                telemetry += [r.as_json(level=level) for r in itlog.records]
     except ContinuationError as exc:
         diagnostic = f"level {len(records)}: {exc}"
         log.error("study aborted: %s", diagnostic)
+        telemetry += [r.as_json(level=len(records)) for r in exc.log.records]
+    except BaseException as exc:
+        detail = f": {exc}" if str(exc) else ""
+        diagnostic = f"level {len(records)}: {type(exc).__name__}{detail}"
+        raise
+    finally:
         if out:
-            out.telemetry(len(records), exc.log)
-
-    if out:
-        out.finish(records, diagnostic)
+            _write_artifacts(out, cfg, records, telemetry, diagnostic)
     return records
+
+
+def _write_artifacts(out: Path, cfg: ProblemConfig, records, telemetry,
+                     diagnostic):
+    """Write records.csv, telemetry.jsonl and metadata.json into ``out``."""
+    rows = [StudyRecord.CSV_HEADER] + [r.csv_row() for r in records]
+    (out / "records.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (out / "telemetry.jsonl").write_text(
+        "".join(line + "\n" for line in telemetry), encoding="utf-8")
+    meta = asdict(cfg)
+    meta["ndof_convention"] = ("n_total = free trial DOFs + free test "
+                               "DOFs; trial and test counts are also "
+                               "reported separately")
+    if diagnostic:
+        meta["diagnostic"] = diagnostic
+    (out / "metadata.json").write_text(
+        json.dumps(meta, indent=2, default=str) + "\n", encoding="utf-8")
 
 
 def transfer_state(state: DiscreteState, old_trial: DofMap, old_test: DofMap,
@@ -353,35 +384,3 @@ def transfer_state(state: DiscreteState, old_trial: DofMap, old_test: DofMap,
     # the target problem's Dirichlet data anyway
     return DiscreteState(u_new, r_new)
 
-
-class _ArtifactWriter:
-    """CSV records, JSON-lines telemetry and SVG snapshots of one study."""
-
-    def __init__(self, cfg: ProblemConfig):
-        self.cfg = cfg
-        self.dir = Path(cfg.output_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self._telemetry_lines: list[str] = []
-
-    def telemetry(self, level: int, itlog: IterationLog):
-        for rec in itlog.records:
-            self._telemetry_lines.append(rec.as_json(level=level))
-
-    def snapshot(self, level: int, mesh: Mesh):
-        export_svg(mesh, self.dir / f"mesh_step_{level}.svg")
-
-    def finish(self, records, diagnostic):
-        csv_path = self.dir / "records.csv"
-        lines = [StudyRecord.CSV_HEADER] + [r.csv_row() for r in records]
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        (self.dir / "telemetry.jsonl").write_text(
-            "".join(line + "\n" for line in self._telemetry_lines),
-            encoding="utf-8")
-        meta = asdict(self.cfg)
-        meta["ndof_convention"] = ("n_total = free trial DOFs + free test "
-                                   "DOFs; trial and test counts are also "
-                                   "reported separately")
-        if diagnostic:
-            meta["diagnostic"] = diagnostic
-        (self.dir / "metadata.json").write_text(
-            json.dumps(meta, indent=2, default=str) + "\n", encoding="utf-8")

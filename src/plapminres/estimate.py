@@ -34,7 +34,7 @@ class ExactSolution:
     which satisfies -div(|grad u|^(p-2) grad u) = r^(-sigma), the load
     :meth:`source`, and vanishes on the circle r = 1.  The gradient
     magnitude behaves like r^(q-1); for sigma > 1 it blows up at x0 and
-    the evaluation refuses r = 0.
+    the evaluation refuses r = 0, and the load refuses it for any sigma.
     """
 
     p: float
@@ -59,20 +59,23 @@ class ExactSolution:
         return ((self.p - 1.0) / (self.p - self.sigma)
                 * (1.0 / (2.0 - self.sigma)) ** (1.0 / (self.p - 1.0)))
 
+    def _offsets(self, points) -> tuple[np.ndarray, np.ndarray]:
+        diff = np.asarray(points, dtype=float) - np.asarray(self.x0)
+        return diff, np.sqrt((diff ** 2).sum(axis=-1))
+
     def source(self, points: np.ndarray) -> np.ndarray:
         """The load f = r^(-sigma) on an (..., 2) array of points."""
-        diff = points - np.asarray(self.x0)
-        return np.sqrt((diff ** 2).sum(axis=-1)) ** (-self.sigma)
+        r = self._offsets(points)[1]
+        if not np.all(r > 0.0):
+            raise EstimateError("the load is sampled at its center x0")
+        return r ** (-self.sigma)
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        r = np.linalg.norm(points - np.asarray(self.x0), axis=-1)
+        r = self._offsets(points)[1]
         return self.amplitude * (1.0 - r ** self.radial_exponent)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        diff = points - np.asarray(self.x0)
-        r = np.linalg.norm(diff, axis=-1)
+        diff, r = self._offsets(points)
         at_center = r == 0.0
         if np.any(at_center):
             # |grad u| ~ r^(q-1): the limit at the center is zero for q > 1

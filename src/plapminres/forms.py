@@ -182,21 +182,15 @@ def assemble_duality_jacobian(forms: NonlinearForms,
 def assemble_load(problem, test_dm: DofMap, quad: QuadRule) -> np.ndarray:
     """Load functional of ``problem.source`` over the free CR test DOFs.
 
-    ``problem`` (the benchmark's :class:`~plapminres.estimate.ExactSolution`)
-    gives the source and its center ``x0``.  The source is integrated
-    against the CR basis with the given rule, one :meth:`QuadRule.blocks`
-    block at a time; all quadrature points are strictly interior, so a
-    singular radial load is never sampled at its center (checked, raising
-    :class:`FormsError`).
+    ``problem`` is the benchmark's :class:`~plapminres.estimate.ExactSolution`,
+    whose source refuses a point at its center ``x0``.  The source is
+    integrated against the CR basis with the given rule, one
+    :meth:`QuadRule.blocks` block at a time.
     """
     m = test_dm.mesh
     phi = 1.0 - 2.0 * quad.points  # CR basis at the rule's barycentric points
     cells = np.empty((m.n_triangles, 3))
     for block, pts in quad.blocks(m):
-        dist = np.linalg.norm(pts - np.asarray(problem.x0), axis=-1)
-        if not np.all(dist > 0.0):
-            raise FormsError("a quadrature point coincides with the load "
-                             "center x0")
         fx = problem.source(pts)
         cells[block] = (2.0 * m.areas[block, None]
                         * ((fx * quad.weights) @ phi))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import plapminres
-from plapminres import cli
+from plapminres import cli, driver
 from plapminres.cli import ConfigError, config_from_dict, main
 from plapminres.driver import ProblemConfig
 from plapminres.estimate import StudyRecord
@@ -274,6 +274,21 @@ class TestBadInputExits2:
                             "--out", str(blocker / "study")], capsys,
                            "Not a directory")
 
+    def test_out_is_a_file_before_pre_adaptation(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def refused(*args):
+            raise AssertionError("the pre-adaptation ran")
+
+        monkeypatch.setattr(driver, "pre_adapt_mesh", refused)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"p_target": 1.5, "x0": [0, 0], "initial_n": 8, "max_levels": 1,
+             "strategy": "pre_adapted_then_uniform"}))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert_input_error(["run", "--config", str(path),
+                            "--out", str(blocker)], capsys, "File exists")
+
     @pytest.mark.parametrize("argv,field", [
         (["case1", "--levels", "0"], "max_levels"),
         (["case1", "--p", "1.0"], "p_target"),
@@ -440,3 +455,17 @@ class TestOutOfMemory:
         assert message in err
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestInterrupt:
+    def test_study_exits_130_with_one_line(self, tmp_path, capsys,
+                                           monkeypatch):
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_study", interrupted)
+        path = tmp_path / "config.json"
+        path.write_text('{"p_target": 3.0, "max_levels": 1}')
+        assert main(["run", "--config", str(path)]) == 130
+        err = capsys.readouterr().err
+        assert err == "error: interrupted\n"

@@ -330,6 +330,10 @@ class TestStudies:
         assert (out / "mesh_step_2.svg").exists()
 
 
+def _without_wall_ms(csv_text: str) -> list[str]:
+    return [line.rsplit(",", 1)[0] for line in csv_text.splitlines()]
+
+
 def _level_by_level(cfg, mesh):
     """Records (without ``wall_ms``) and telemetry lines of ``cfg``'s
     uniform ladder from ``mesh``, solved one level after the other."""
@@ -449,12 +453,26 @@ class TestIndependentLevels:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["diagnostic"].startswith(f"level {failing}: ")
 
-    @pytest.mark.parametrize("cfg", [
-        ProblemConfig(p_target=3.0, max_levels=3),
-        ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
-                      strategy="adaptive", max_levels=2),
-    ], ids=["uniform", "adaptive"])
-    def test_other_errors_propagate(self, tmp_path, monkeypatch, cfg):
+    @pytest.mark.parametrize("cfg,error,args,diagnostic", [
+        pytest.param(ProblemConfig(p_target=3.0, max_levels=3), RuntimeError,
+                     ("injected",), "level 1: RuntimeError: injected",
+                     id="uniform"),
+        pytest.param(ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=4,
+                                   strategy="adaptive", max_levels=2),
+                     RuntimeError, ("injected",),
+                     "level 1: RuntimeError: injected", id="adaptive"),
+        pytest.param(ProblemConfig(p_target=3.0, max_levels=3),
+                     KeyboardInterrupt, (), "level 1: KeyboardInterrupt",
+                     id="uniform-KeyboardInterrupt"),
+        pytest.param(ProblemConfig(p_target=3.0, max_levels=3), MemoryError,
+                     ("Unable to allocate 1.00 GiB",),
+                     "level 1: MemoryError: Unable to allocate 1.00 GiB",
+                     id="uniform-MemoryError"),
+    ])
+    def test_other_errors_propagate(self, tmp_path, monkeypatch, cfg, error,
+                                    args, diagnostic):
+        reference = tmp_path / "reference"
+        run_study(replace(cfg, max_levels=1, output_dir=str(reference)))
         real = driver.continuation_solve
         coarsest = 2 * cfg.initial_n ** 2  # triangles of level 0
 
@@ -462,16 +480,55 @@ class TestIndependentLevels:
             # one refinement step at most quadruples the triangles
             n = factory(p_target).trial.mesh.n_triangles
             if coarsest < n <= 4 * coarsest:
-                raise RuntimeError("level 1 (injected)")
+                raise error(*args)
             return real(p_target, factory, opts)
 
         monkeypatch.setattr(driver, "continuation_solve", fail_on_level_1)
         threads = threading.active_count()
         out = tmp_path / "study"
-        with pytest.raises(RuntimeError, match="level 1"):
+        with pytest.raises(error):
             run_study(replace(cfg, output_dir=str(out)))
         assert threading.active_count() == threads
-        assert not (out / "records.csv").exists()
+        # level 0 is kept as an uninterrupted run writes it
+        assert _without_wall_ms((out / "records.csv").read_text()) == (
+            _without_wall_ms((reference / "records.csv").read_text()))
+        assert (out / "telemetry.jsonl").read_text() == (
+            reference / "telemetry.jsonl").read_text()
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["diagnostic"] == diagnostic
+
+    def test_coarsest_abort_stops_the_helper(self, monkeypatch):
+        cfg = ProblemConfig(p_target=3.0, max_levels=4)
+        coarsest = 2 * cfg.initial_n ** 2
+        finest = coarsest * 4 ** (cfg.max_levels - 1)
+        real_factory = driver._forms_factory
+        real_solve = driver.continuation_solve
+        asked = []  # the exponents asked of the finest level's factory
+
+        def counting(trial, test, load_free, problem, stop=None):
+            factory = real_factory(trial, test, load_free, problem, stop)
+
+            def counted(p):
+                if trial.mesh.n_triangles == finest:
+                    asked.append(p)
+                return factory(p)
+            return counted
+
+        def abort_coarsest(p_target, factory, opts):
+            if factory(p_target).trial.mesh.n_triangles == coarsest:
+                raise ContinuationError("step underflow (injected)",
+                                        newton.IterationLog())
+            return real_solve(p_target, factory, opts)
+
+        monkeypatch.setattr(driver, "_forms_factory", counting)
+        assert len(run_study(cfg)) == cfg.max_levels
+        uninterrupted = len(asked)
+        asked.clear()
+        monkeypatch.setattr(driver, "continuation_solve", abort_coarsest)
+        threads = threading.active_count()
+        assert run_study(cfg) == []
+        assert threading.active_count() == threads
+        assert len(asked) < uninterrupted
 
     def test_failure_in_the_record_loop_stops_the_workers(self, monkeypatch):
         def failing(mesh):

@@ -119,6 +119,12 @@ class TestSource:
         block = np.random.default_rng(5).uniform(size=(4, 7, 2))
         assert np.array_equal(flat.source(block), np.ones((4, 7)))
 
+    @pytest.mark.parametrize("sigma", [0.97, 0.0, -0.5])
+    def test_refuses_the_center(self, sigma):
+        es = ExactSolution(3.0, sigma, (0.25, 0.5))
+        with pytest.raises(EstimateError, match="x0"):
+            es.source(np.array([[0.1, 0.1], [0.25, 0.5]]))
+
     def test_sigma_bound(self):
         with pytest.raises(EstimateError, match="sigma must be < 2"):
             ExactSolution(3.0, 2.0, (-1.0, -1.0))
