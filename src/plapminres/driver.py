@@ -21,12 +21,13 @@ counted before the continuation takes over.
 
 Without a warm start, the levels of a uniform study are independent:
 each solve depends on its own mesh alone.  The whole ladder is then
-refined first; one helper thread solves the finest level while the
-calling thread solves the coarser ones in order, and the results are
-recorded in level order.  The solves themselves are deterministic, so
-every output except ``wall_ms`` is the same as a serial run's.  Adaptive
-and warm-start studies, where a level needs the previous level's
-solution, run serially.
+refined first (up to a refinement that runs out of memory, whose error
+follows the solved levels); one helper thread solves the finest level
+while the calling thread solves the coarser ones in order, and the
+results are recorded in level order.  The solves themselves are
+deterministic, so every output except ``wall_ms`` is the same as a
+serial run's.  Adaptive and warm-start studies, where a level needs the
+previous level's solution, run serially.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import json
 import logging
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -228,6 +230,9 @@ def _levels(cfg: ProblemConfig, mesh: Mesh, solve):
     in order beside it.  A level's exception is raised when it is reached,
     so a failing coarser level counts first, as in a serial run.  Leaving
     the ladder early stops the helper at its next exponent and joins it.
+    A refinement that runs out of memory ends the ladder there: the
+    meshes already built are solved, the last one on the helper, and the
+    error is raised for the first level without a mesh.
     """
     if (cfg.strategy == "adaptive" or cfg.warm_start == "direct"
             or cfg.max_levels == 1):
@@ -245,8 +250,15 @@ def _levels(cfg: ProblemConfig, mesh: Mesh, solve):
         return
 
     ladder = [mesh]
-    for _ in range(cfg.max_levels - 1):
-        ladder.append(refine_uniform(ladder[-1]))
+    refine_error = None
+    try:
+        for _ in range(cfg.max_levels - 1):
+            ladder.append(refine_uniform(ladder[-1]))
+    except MemoryError as exc:
+        # the meshes built so far are solved first; the failed
+        # refinement's arrays are let go meanwhile
+        traceback.clear_frames(exc.__traceback__)
+        refine_error = exc
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
         finest = pool.submit(solve, ladder[-1], None, stop)
@@ -256,6 +268,8 @@ def _levels(cfg: ProblemConfig, mesh: Mesh, solve):
             yield finest.result()
         finally:
             stop.set()
+    if refine_error is not None:
+        raise refine_error
 
 
 def run_study(cfg: ProblemConfig) -> list[StudyRecord]:

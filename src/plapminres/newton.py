@@ -126,18 +126,24 @@ class NewtonResult:
     linear_fallbacks: int
 
     def as_json(self, **extra) -> str:
+        """The telemetry line, a non-finite float written as null."""
         payload = dict(extra)
         payload.update({
             "p": self.p, "iterations": self.iterations,
             "damping_events": self.damping_events,
-            "final_increment": self.final_increment,
+            "final_increment": _finite_or_none(self.final_increment),
             "converged": self.converged,
             "linear_fallbacks": self.linear_fallbacks,
-            "increments": [h.get("increment") for h in self.history],
-            "linear_residuals": [h.get("linear_residual")
+            "increments": [_finite_or_none(h.get("increment"))
+                           for h in self.history],
+            "linear_residuals": [_finite_or_none(h.get("linear_residual"))
                                  for h in self.history],
         })
         return json.dumps(payload, allow_nan=False)
+
+
+def _finite_or_none(value: float | None) -> float | None:
+    return value if value is not None and math.isfinite(value) else None
 
 
 @dataclass
@@ -182,13 +188,17 @@ def nonlinear_residual(forms: NonlinearForms, state: DiscreteState) -> Residual:
                     B, g_r)
 
 
+# an iterate far from the solution may overflow the forms: its trial is
+# refused, and the numpy warnings that the overflow raises are not shown
+@np.errstate(over="ignore", invalid="ignore")
 def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
                  opts: SolverOptions) -> NewtonResult:
     """Damped Newton iteration at a fixed exponent.
 
     Returns a :class:`NewtonResult`; on iteration cap, exhausted line
     search or linear-solve failure ``converged`` is False and ``state``
-    carries the last accepted iterate.
+    carries the last accepted iterate.  A trial is accepted only when its
+    coefficients and its residual norm are finite.
     """
     trial, test = forms.trial, forms.test
     u = state_init.u.copy()
@@ -221,20 +231,20 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
         du = trial.full_from_free(du)
 
         alpha = 1.0
-        damped = False
-        for _ in range(MAX_BACKTRACKS + 1):
-            state_try = DiscreteState(state.u + alpha * du,
-                                      state.r + alpha * dr)
-            res_try = nonlinear_residual(forms, state_try)
-            if res_try.norm <= res.norm:
-                break
-            damped = True
+        for halvings in range(MAX_BACKTRACKS + 1):
+            u_try, r_try = state.u + alpha * du, state.r + alpha * dr
+            if np.isfinite(u_try).all() and np.isfinite(r_try).all():
+                state_try = DiscreteState(u_try, r_try)
+                res_try = nonlinear_residual(forms, state_try)
+                if math.isfinite(res_try.norm) and res_try.norm <= res.norm:
+                    break
             alpha *= BACKTRACK_FACTOR
-        damping_events += damped
-        if not res_try.norm <= res.norm:  # also when the norm is NaN
+        else:
+            damping_events += 1
             history.append({"linear_residual": lin_res,
                             "error": "line search exhausted"})
             break
+        damping_events += halvings > 0
         state, res = state_try, res_try
 
         g_dr = all_element_gradients(test, dr)

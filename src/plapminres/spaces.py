@@ -21,13 +21,13 @@ free subvector seen by solvers.  :func:`broken_seminorm` and the per-trial
 forms take the (nt, 2) element gradients of :func:`all_element_gradients`.
 
 Both spaces are piecewise linear, so a function enters every form through
-its constant element gradients alone.  Each :class:`DofMap` carries two
-sparse maps built once with the space: ``gradient_map`` takes a full
-coefficient vector to the element gradients, and ``flux_map``, its
-transpose restricted to the free DOFs, takes (area-weighted) element
-fluxes to the functional ``v -> sum_T flux_T . grad v_T`` over the free
-basis (:func:`integrate_flux`).  Quadrature of the load and the true
-error runs over the blocks of triangles that :meth:`QuadRule.blocks` yields.
+its constant element gradients alone.  Each :class:`DofMap` carries one
+sparse operator, built once with the space: ``gradient_map`` takes a full
+coefficient vector to the element gradients, and its transpose,
+restricted to the free DOFs, takes (area-weighted) element fluxes to the
+functional ``v -> sum_T flux_T . grad v_T`` over the free basis
+(:func:`integrate_flux`).  Quadrature of the load and the true error runs
+over the blocks of triangles that :meth:`QuadRule.blocks` yields.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def triangle_rule(degree: int) -> QuadRule:
 @dataclass(frozen=True, eq=False)
 class DofMap:
     """Enumeration of free and constrained DOFs of one space on one mesh,
-    with the space's sparse gradient maps.
+    with the space's one sparse operator, its gradient map.
 
     It holds no values: constrained CR DOFs are zero, and the Dirichlet
     values of the constrained P1 DOFs belong to the exponent's forms.
@@ -142,8 +142,7 @@ class DofMap:
     mesh's own arrays, and all three are read-only.  ``gradient_map``
     (2 nt x n_total, CSR) takes a full coefficient vector to the element
     gradients, row ``2 t + d`` holding component ``d`` on triangle ``t``;
-    ``flux_map`` (n_free x 2 nt, CSR) is its transpose restricted to the
-    free DOFs.
+    element fluxes go through its transpose restricted to the free DOFs.
     """
 
     kind: str
@@ -155,7 +154,6 @@ class DofMap:
     element_dofs: np.ndarray
     basis_gradients: np.ndarray
     gradient_map: sp.csr_matrix
-    flux_map: sp.csr_matrix
 
     @property
     def n_free(self) -> int:
@@ -173,8 +171,8 @@ def build_space(m: Mesh, kind: str) -> DofMap:
 
     P1 constrains the boundary vertices and CR the boundary edges; the map
     depends on the mesh alone, so one pair of spaces serves every exponent
-    on that mesh.  Both gradient maps are laid out directly from the
-    element DOFs, three entries per row of ``gradient_map``.
+    on that mesh.  The gradient map is laid out directly from the element
+    DOFs, three entries per row.
 
     Raises
     ------
@@ -201,19 +199,13 @@ def build_space(m: Mesh, kind: str) -> DofMap:
     rows = 2 * m.n_triangles
     # row 2t + d holds d_d of the three local basis functions of triangle t
     data = basis.transpose(0, 2, 1).reshape(rows, 3)
-    cols = np.repeat(dofs, 2, axis=0)
     gradient_map = sp.csr_matrix(
-        (data.ravel(), cols.ravel(), np.arange(0, 3 * rows + 1, 3)),
-        shape=(rows, n_total))
-    cols = free_index[cols]
-    live = cols >= 0
-    indptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
-    flux_map = sp.csr_matrix((data[live], cols[live], indptr),
-                             shape=(rows, free.size)).T.tocsr()
+        (data.ravel(), np.repeat(dofs, 2, axis=0).ravel(),
+         np.arange(0, 3 * rows + 1, 3)), shape=(rows, n_total))
     for arr in (free, constrained, free_index, basis):
         arr.setflags(write=False)
     return DofMap(kind, m, n_total, free, constrained, free_index, dofs,
-                  basis, gradient_map, flux_map)
+                  basis, gradient_map)
 
 
 def all_element_gradients(dm: DofMap, coeffs: np.ndarray) -> np.ndarray:
@@ -223,8 +215,9 @@ def all_element_gradients(dm: DofMap, coeffs: np.ndarray) -> np.ndarray:
 
 def integrate_flux(dm: DofMap, flux: np.ndarray) -> np.ndarray:
     """The functional ``v -> sum_T flux_T . grad v_T`` on the free basis of
-    dm, for (nt, 2) element fluxes that already carry the element areas."""
-    return dm.flux_map @ flux.ravel()
+    dm, for (nt, 2) element fluxes that already carry the element areas:
+    the transpose of ``gradient_map`` restricted to the free DOFs."""
+    return (dm.gradient_map.T @ flux.ravel())[dm.free_dofs]
 
 
 def broken_seminorm(dm: DofMap, g: np.ndarray, p: float) -> float:

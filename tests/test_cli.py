@@ -469,3 +469,46 @@ class TestInterrupt:
         assert main(["run", "--config", str(path)]) == 130
         err = capsys.readouterr().err
         assert err == "error: interrupted\n"
+
+
+class TestNonFiniteNewton:
+    """A study whose Newton values overflow ends with its diagnostic."""
+
+    CONFIG = {"p_target": 3.0, "sigma": -400, "max_levels": 1}
+    # the load's norm overflows, so no p = 2 trial has a finite residual
+    DIAGNOSTIC = "level 0: linear stage p = 2 did not converge"
+
+    def check_artifacts(self, out: Path):
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["diagnostic"] == self.DIAGNOSTIC
+        assert (out / "records.csv").read_text().count("\n") == 1
+        lines = (out / "telemetry.jsonl").read_text().splitlines()
+        assert lines
+        for line in lines:
+            assert json.loads(line)["level"] == 0
+        assert json.loads(lines[0])["increments"] == [None]
+
+    def test_main_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "study"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, "output_dir": str(out)}))
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        self.check_artifacts(out)
+
+    def test_warnings_as_errors(self, tmp_path):
+        out = tmp_path / "study"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, "output_dir": str(out)}))
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(plapminres.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "plapminres.cli", "run",
+             "--config", str(path)], env=env, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert self.DIAGNOSTIC in done.stderr
+        self.check_artifacts(out)

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from plapminres import driver, newton
+from plapminres import cli, driver, newton
 from plapminres.driver import ProblemConfig, pre_adapt_mesh, run_study, transfer_state
 from plapminres.estimate import ExactSolution, estimator_global, true_error
 from plapminres.forms import assemble_load
@@ -496,6 +496,38 @@ class TestIndependentLevels:
             reference / "telemetry.jsonl").read_text()
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["diagnostic"] == diagnostic
+
+    def test_refinement_out_of_memory_keeps_the_built_levels(
+            self, tmp_path, monkeypatch, capsys):
+        real = driver.refine_uniform
+        calls = []
+
+        def third_call_fails(mesh):
+            calls.append(mesh)
+            if len(calls) == 3:
+                raise MemoryError
+            return real(mesh)
+
+        monkeypatch.setattr(driver, "refine_uniform", third_call_fails)
+        cfg = ProblemConfig(p_target=3.0, max_levels=5)
+        threads = threading.active_count()
+        out = tmp_path / "study"
+        with pytest.raises(MemoryError):
+            run_study(replace(cfg, output_dir=str(out)))
+        assert threading.active_count() == threads
+        rows = (out / "records.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [0, 1, 2]
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["diagnostic"] == "level 3: MemoryError"
+
+        calls.clear()
+        capsys.readouterr()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"p_target": 3.0, "max_levels": 5}))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
     def test_coarsest_abort_stops_the_helper(self, monkeypatch):
         cfg = ProblemConfig(p_target=3.0, max_levels=4)

@@ -1,9 +1,11 @@
 import subprocess
 import sys
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
 import plapminres
@@ -17,6 +19,7 @@ from plapminres.spaces import (
     broken_seminorm,
     build_space,
     gauss_jacobi_1_0,
+    integrate_flux,
     triangle_rule,
 )
 from tests.oracles import (
@@ -26,6 +29,13 @@ from tests.oracles import (
     monomial_integral_over_triangle,
     p1_interpolate,
 )
+
+
+def _bisected_mesh():
+    m = unit_square_mesh(4)
+    for _ in range(3):
+        m = refine_marked(m, np.arange(0, m.n_triangles, 3))
+    return m
 
 
 class TestBuildSpace:
@@ -55,9 +65,7 @@ class TestBuildSpace:
 
     @pytest.mark.parametrize("kind", [P1, CR])
     def test_element_fields_follow_mesh_conventions(self, kind):
-        m = unit_square_mesh(4)
-        for _ in range(3):
-            m = refine_marked(m, np.arange(0, m.n_triangles, 3))
+        m = _bisected_mesh()
         dm = build_space(m, kind)
         if kind == P1:
             assert dm.element_dofs is m.triangles
@@ -198,6 +206,38 @@ class TestElementGradient:
         coeffs = cr_interpolate(m, gauss_edge_mean(lambda x, y: 2 * x + y))
         g = all_element_gradients(dm, coeffs)
         assert np.abs(g - np.array([2.0, 1.0])).max() < 1e-12
+
+
+class TestIntegrateFlux:
+    @staticmethod
+    def flux_map(dm):
+        """The gradient map's transpose restricted to the free DOFs, laid
+        out row by row from the element DOFs and sorted to CSR."""
+        rows = 2 * dm.mesh.n_triangles
+        data = dm.basis_gradients.transpose(0, 2, 1).reshape(rows, 3)
+        cols = dm.free_index[np.repeat(dm.element_dofs, 2, axis=0)]
+        live = cols >= 0
+        indptr = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
+        return sp.csr_matrix((data[live], cols[live], indptr),
+                             shape=(rows, dm.n_free)).T.tocsr()
+
+    @pytest.mark.parametrize("kind", [P1, CR])
+    @pytest.mark.parametrize("mesh", [
+        lambda: unit_square_mesh(32), _bisected_mesh,
+    ], ids=["uniform", "bisected"])
+    def test_equals_the_free_transpose_bitwise(self, kind, mesh):
+        dm = build_space(mesh(), kind)
+        reference = self.flux_map(dm)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            flux = rng.standard_normal((dm.mesh.n_triangles, 2))
+            assert np.array_equal(integrate_flux(dm, flux),
+                                  reference @ flux.ravel())
+
+    def test_gradient_map_is_the_one_sparse_operator(self):
+        dm = build_space(unit_square_mesh(2), CR)
+        assert [f.name for f in dataclass_fields(dm)
+                if sp.issparse(getattr(dm, f.name))] == ["gradient_map"]
 
 
 class TestBrokenSeminorm:
