@@ -31,8 +31,11 @@ into the Newton matrix through a per-mesh values map; no element block
 is formed or scattered.
 
 Jacobian assembly regularizes the degenerate weights with a small epsilon
-so Newton matrices stay finite for 1 < p < 2; the residual evaluations are
-never regularized.
+so Newton matrices stay finite for 1 < p < 2.  In the Newton residual the
+two actions of the top block are unregularized, while the bottom block
+-B^T r is built from the epsilon-regularized weights of
+:func:`assemble_operator_jacobian`: a converged iterate satisfies
+B_eps(u)^T r = 0.
 
 The per-trial forms (both actions and both Jacobians) take the (nt, 2)
 element gradients of their argument, computed once per Newton trial; the

@@ -114,12 +114,12 @@ def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * (ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
 
 
-def _build_mesh(vertices, triangles, *, refinement_edge=None, parent=None,
+def _build_mesh(vertices, triangles, *, refinement_edge, parent=None,
                 midpoint_parents=None) -> Mesh:
     """Assemble a Mesh from vertices and triangles, deriving connectivity.
 
-    When ``refinement_edge`` is None, each triangle gets its longest edge,
-    ties broken by the lowest global edge index.  ``midpoint_parents``
+    ``refinement_edge`` is the local bisection edge of each triangle, which
+    every constructor states.  ``midpoint_parents``
     holds the endpoint pairs of the edge midpoints that a refinement
     appends to the vertices; every vertex before them is inherited and
     gets the parents ``(i, i)``.
@@ -155,16 +155,7 @@ def _build_mesh(vertices, triangles, *, refinement_edge=None, parent=None,
         raise MeshError("an edge is shared by more than two triangles")
     boundary_edge_flags = counts == 1
 
-    if refinement_edge is None:
-        ev = vertices[edges]
-        lengths = np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1)
-        tri_len = lengths[triangle_edges]
-        longest = tri_len.max(axis=1, keepdims=True)
-        candidate = tri_len == longest
-        masked = np.where(candidate, triangle_edges, np.iinfo(np.int64).max)
-        refinement_edge = np.argmin(masked, axis=1).astype(np.int64)
-    else:
-        refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
+    refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
 
     if parent is None:
         parent = np.full(nt, -1, dtype=np.int64)
@@ -199,7 +190,8 @@ def unit_square_mesh(n: int) -> Mesh:
     """Structured triangulation of the unit square.
 
     The square is split into an ``n`` x ``n`` grid of cells, each divided
-    along its bottom-left to top-right diagonal.
+    along its bottom-left to top-right diagonal, the longest edge and so
+    the refinement edge of both halves.
 
     Parameters
     ----------
@@ -223,7 +215,8 @@ def unit_square_mesh(n: int) -> Mesh:
     v11 = v00 + n + 2
     tris = np.stack([v00, v00 + 1, v11, v00, v11, v00 + n + 1],
                     axis=1).reshape(-1, 3)
-    return _build_mesh(vertices, tris)
+    # the diagonal is local edge 1 of the lower half, 2 of the upper one
+    return _build_mesh(vertices, tris, refinement_edge=np.tile([1, 2], n * n))
 
 
 def refine_uniform(m: Mesh) -> Mesh:
@@ -231,7 +224,8 @@ def refine_uniform(m: Mesh) -> Mesh:
 
     New vertices are the edge midpoints; child ``4*t + k`` descends from
     triangle ``t``.  The mesh size (longest triangle diameter) halves
-    exactly.
+    exactly.  Every child is similar to its parent and takes the parent's
+    refinement edge under that similarity.
     """
     nv = m.n_vertices
     tri = m.triangles
@@ -251,9 +245,13 @@ def refine_uniform(m: Mesh) -> Mesh:
         np.column_stack([mab, mbc, mca]),
     ], axis=1).reshape(-1, 3)
 
+    # the corner children keep the parent's local vertex order; the middle
+    # child's edge k is parallel to the parent's edge (k + 2) % 3
+    ref = m.refinement_edge
+    child_ref = np.stack([ref, ref, ref, (ref + 1) % 3], axis=1).ravel()
     parent = np.repeat(np.arange(m.n_triangles, dtype=np.int64), 4)
-    return _build_mesh(vertices, children, parent=parent,
-                       midpoint_parents=m.edges)
+    return _build_mesh(vertices, children, refinement_edge=child_ref,
+                       parent=parent, midpoint_parents=m.edges)
 
 
 def refine_marked(m: Mesh, marked) -> Mesh:

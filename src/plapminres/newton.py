@@ -24,7 +24,8 @@ Convergence is declared when the undamped increment, measured as the sum
 of the two broken seminorms at the current exponent, drops below the
 tolerance, or when the residual itself reaches the round-off floor (the
 path taken by the linear case p = 2, which therefore converges in a
-single iteration from any state).
+single iteration from any state).  The floor scales with the load's
+norm; a load whose norm overflows has none.
 
 Since Newton far from p = 2 needs a good initial guess, the continuation
 driver first solves the linear p = 2 problem cold and then walks the
@@ -254,7 +255,8 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
         history.append({"increment": increment, "residual": res.norm,
                         "linear_residual": lin_res})
 
-        if increment < opts.newton_tol or res.norm <= res_floor:
+        # a load whose norm overflows leaves no round-off floor to reach
+        if increment < opts.newton_tol or res.norm <= res_floor < math.inf:
             converged = True
             break
 

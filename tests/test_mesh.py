@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plapminres.driver import ProblemConfig, pre_adapt_mesh
 from plapminres.mesh import (
     Mesh,
     MeshError,
@@ -265,6 +266,43 @@ def geometry_meshes():
 
 
 GEOMETRY_MESHES = geometry_meshes()
+
+
+def assert_refines_longest_edges(m: Mesh):
+    ev = m.vertices[m.edges]
+    lengths = np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1)[m.triangle_edges]
+    ref = np.take_along_axis(lengths, m.refinement_edge[:, None], axis=1)
+    # strictly longer than the other two edges
+    assert np.array_equal((lengths >= ref).sum(axis=1), np.ones(m.n_triangles))
+
+
+class TestRefinementEdgeIsLongest:
+    """Each constructor states its refinement edges; on every mesh the
+    studies build, that is the triangle's longest edge."""
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_unit_square_and_red_children(self, n):
+        assert_refines_longest_edges(unit_square_mesh(n))
+        assert_refines_longest_edges(refine_uniform(unit_square_mesh(n)))
+
+    def test_uniform_ladder(self):
+        mesh = unit_square_mesh(2)
+        for _ in range(6):
+            assert_refines_longest_edges(mesh)
+            mesh = refine_uniform(mesh)
+
+    def test_case2_adaptive_meshes(self, case2_adaptive):
+        assert len(case2_adaptive.refinements) == 12
+        for mesh, refined in case2_adaptive.refinements:
+            assert_refines_longest_edges(mesh)
+            assert_refines_longest_edges(refined)
+
+    def test_pre_adapted_ladder(self):
+        cfg = ProblemConfig(p_target=1.5, x0=(0.0, 0.0), initial_n=8,
+                            strategy="pre_adapted_then_uniform", max_levels=2)
+        mesh = pre_adapt_mesh(cfg, unit_square_mesh(cfg.initial_n))
+        assert_refines_longest_edges(mesh)
+        assert_refines_longest_edges(refine_uniform(mesh))
 
 
 class TestMeshGeometry:

@@ -181,6 +181,22 @@ class TestNewtonSolve:
         for a, b in zip(residuals, residuals[1:]):
             assert b <= a * (1.0 + 1e-12)
 
+    def test_overflowing_load_norm_sets_no_residual_floor(self):
+        # entries of 1e154 square past the float range, so the load's norm
+        # is infinite; the first step's infinite increment is no convergence
+        mesh = unit_square_mesh(4)
+        test = build_space(mesh, CR)
+        trial = build_space(mesh, P1)
+        forms = NonlinearForms(2.0, trial, test, saddle_pattern(test, trial),
+                               np.full(test.n_free, 1e154),
+                               np.zeros(trial.constrained_dofs.size))
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(forms.load_free) == np.inf
+        result = newton_solve(forms, cold_state(forms), SolverOptions())
+        assert not result.converged
+        assert result.history[0]["increment"] == np.inf
+        assert all(np.isfinite(h["residual"]) for h in result.history)
+
 
     def test_exhausted_line_search_ends_unconverged(self, monkeypatch):
         # every trial's residual norm is made larger than the start's, so
