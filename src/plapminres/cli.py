@@ -35,7 +35,6 @@ from .driver import ProblemConfig, run_study
 from .estimate import EstimateError, StudyRecord, fit_rate
 from .forms import FormsError
 from .mesh import MeshError, export_svg, export_vtk, refine_uniform, unit_square_mesh
-from .newton import SolverOptions
 
 
 class ConfigError(ValueError):
@@ -45,26 +44,11 @@ class ConfigError(ValueError):
 def config_from_dict(raw: dict, source: str = "<config>") -> ProblemConfig:
     """Validate a raw mapping into a ProblemConfig, failing fast per field."""
     known = {f.name for f in dataclass_fields(ProblemConfig)}
-    solver_known = {f.name for f in dataclass_fields(SolverOptions)}
-    kwargs = {}
-    solver_kwargs = {}
-    for key, value in raw.items():
-        if key == "solver":
-            if not isinstance(value, dict):
-                raise ConfigError(f"{source}: field 'solver' must be an object")
-            for skey, svalue in value.items():
-                if skey not in solver_known:
-                    raise ConfigError(f"{source}: unknown solver field {skey!r}")
-                solver_kwargs[skey] = svalue
-        elif key in known:
-            kwargs[key] = value
-        else:
+    for key in raw:
+        if key not in known:
             raise ConfigError(f"{source}: unknown field {key!r}")
-    if isinstance(kwargs.get("x0"), list):
-        kwargs["x0"] = tuple(kwargs["x0"])
     try:
-        kwargs["solver"] = SolverOptions(**solver_kwargs)
-        return ProblemConfig(**kwargs)
+        return ProblemConfig(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 

@@ -35,11 +35,13 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
+import numbers
 import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +60,7 @@ from .newton import (
     ContinuationError,
     DiscreteState,
     IterationLog,
-    SolverOptions,
     continuation_solve,
-    is_finite_real,
-    is_integer,
     newton_solve,
 )
 from .spaces import CR, P1, DofMap, all_element_gradients, build_space, triangle_rule
@@ -78,6 +77,17 @@ PRE_ADAPT_STEPS = 8
 SNAPSHOT_LEVELS = (0, 2, 6)
 
 
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class ProblemConfig:
     """Declarative description of one study."""
@@ -89,7 +99,6 @@ class ProblemConfig:
     strategy: str = "uniform"
     theta: float = 0.5
     max_levels: int = 6
-    solver: SolverOptions = field(default_factory=SolverOptions)
     warm_start: str = "off"
     output_dir: str | None = None
 
@@ -99,9 +108,13 @@ class ProblemConfig:
         if not (isinstance(self.x0, (tuple, list)) and len(self.x0) == 2
                 and all(map(is_finite_real, self.x0))):
             raise ValueError("x0 must be two finite numbers")
+        self.x0 = tuple(self.x0)
         for name in ("initial_n", "max_levels"):
-            if not is_integer(getattr(self, name)):
+            value = getattr(self, name)
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (is_finite_real(self.sigma) and self.sigma < 2.0):
             raise ValueError("sigma must be a finite number < 2")
         # the benchmark solution needs p > sigma at every exponent of the
@@ -122,9 +135,6 @@ class ProblemConfig:
             raise ValueError("theta must lie in (0, 1]")
         if not (self.output_dir is None or isinstance(self.output_dir, str)):
             raise ValueError("output_dir must be a string or null")
-        for name in ("max_levels", "initial_n"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.warm_start not in WARM_STARTS:
@@ -176,7 +186,7 @@ def _solve_level(cfg: ProblemConfig, mesh: Mesh,
         old_forms, old_state = previous
         warm_state = transfer_state(old_state, old_forms.trial,
                                     old_forms.test, trial, test)
-        result = newton_solve(forms, warm_state, cfg.solver)
+        result = newton_solve(forms, warm_state)
         itlog.records.append(result)
         if result.converged:
             state = result.state
@@ -185,8 +195,7 @@ def _solve_level(cfg: ProblemConfig, mesh: Mesh,
                         "continuation", cfg.p_target)
     if state is None:
         try:
-            state, cont_log = continuation_solve(cfg.p_target, factory,
-                                                 cfg.solver)
+            state, cont_log = continuation_solve(cfg.p_target, factory)
         except ContinuationError as exc:
             # the aborted level's telemetry keeps a failed warm start too
             exc.log.records[:0] = itlog.records

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -75,36 +74,17 @@ class DiscreteState:
             raise ValueError("state coefficients must be finite")
 
 
-def is_integer(value) -> bool:
-    """True for an integer that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_finite_real(value) -> bool:
-    """True for a finite real number that is not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-# the line search halves a step at most MAX_BACKTRACKS times; the
-# continuation steps the exponent by CONTINUATION_STEP and halves the step
-# after a failed solve until it falls below MIN_STEP
+# a solve converges when the increment falls below NEWTON_TOL and stops
+# after MAX_NEWTON iterations; the line search halves a step at most
+# MAX_BACKTRACKS times; the continuation steps the exponent by
+# CONTINUATION_STEP and halves the step after a failed solve until it
+# falls below MIN_STEP
+NEWTON_TOL = 1e-8
+MAX_NEWTON = 50
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 12
 CONTINUATION_STEP = 0.10
 MIN_STEP = 1e-3
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    newton_tol: float = 1e-8
-    max_newton: int = 50
-
-    def __post_init__(self):
-        if not (is_integer(self.max_newton) and self.max_newton > 0):
-            raise ValueError("max_newton must be a positive integer")
-        if not (is_finite_real(self.newton_tol) and self.newton_tol > 0):
-            raise ValueError("newton_tol must be a positive finite number")
 
 
 @dataclass
@@ -192,8 +172,8 @@ def nonlinear_residual(forms: NonlinearForms, state: DiscreteState) -> Residual:
 # an iterate far from the solution may overflow the forms: its trial is
 # refused, and the numpy warnings that the overflow raises are not shown
 @np.errstate(over="ignore", invalid="ignore")
-def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
-                 opts: SolverOptions) -> NewtonResult:
+def newton_solve(forms: NonlinearForms, state_init: DiscreteState
+                 ) -> NewtonResult:
     """Damped Newton iteration at a fixed exponent.
 
     Returns a :class:`NewtonResult`; on iteration cap, exhausted line
@@ -216,7 +196,7 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
     increment = None
     converged = False
 
-    for iteration in range(1, opts.max_newton + 1):
+    for iteration in range(1, MAX_NEWTON + 1):
         G = assemble_duality_jacobian(forms, res.g_r)
         system = assemble_saddle(forms.pattern, G, res.B, res.top, res.bottom)
         try:
@@ -256,7 +236,7 @@ def newton_solve(forms: NonlinearForms, state_init: DiscreteState,
                         "linear_residual": lin_res})
 
         # a load whose norm overflows leaves no round-off floor to reach
-        if increment < opts.newton_tol or res.norm <= res_floor < math.inf:
+        if increment < NEWTON_TOL or res.norm <= res_floor < math.inf:
             converged = True
             break
 
@@ -270,7 +250,7 @@ def cold_state(forms: NonlinearForms) -> DiscreteState:
                          np.zeros(forms.test.n_total))
 
 
-def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
+def continuation_solve(p_target: float, forms_factory
                        ) -> tuple[DiscreteState, IterationLog]:
     """Walk the exponent from 2 to ``p_target``, warm-starting Newton.
 
@@ -286,7 +266,7 @@ def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
     log = IterationLog()
 
     forms2 = forms_factory(2.0)
-    result = newton_solve(forms2, cold_state(forms2), opts)
+    result = newton_solve(forms2, cold_state(forms2))
     log.records.append(result)
     if not result.converged:
         raise ContinuationError("linear stage p = 2 did not converge", log)
@@ -301,7 +281,7 @@ def continuation_solve(p_target: float, forms_factory, opts: SolverOptions
                 p_next = p_target
             else:
                 p_next = current + direction * step
-            result = newton_solve(forms_factory(p_next), state, opts)
+            result = newton_solve(forms_factory(p_next), state)
             log.records.append(result)
             if result.converged:
                 state = result.state

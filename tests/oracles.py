@@ -8,8 +8,9 @@ factorization, the reference saddle matrix is assembled from element
 blocks through COO, CSR and ``sp.bmat`` instead of the per-mesh pattern
 and values map, and :func:`block_residual` recomputes the Newton residual
 from element blocks.  The interpolation helpers build discrete functions
-for the tests, and the mesh checks (:func:`check_mesh`,
-:func:`min_angle`) test the invariants of refined meshes.
+for the tests, :func:`make_forms` builds the forms of a unit or a zero
+load, and the mesh checks (:func:`check_mesh`, :func:`min_angle`) test
+the invariants of refined meshes.
 """
 
 import numpy as np
@@ -209,6 +210,28 @@ def duality_jacobian_matrix(forms, r_coeffs) -> sp.csr_matrix:
     g_r = all_element_gradients(forms.test, r_coeffs)
     return weight_matrix(assemble_duality_jacobian(forms, g_r),
                          forms.test, forms.test)
+
+
+def make_forms(mesh, p, quad_degree=None):
+    """Forms at exponent ``p`` on a mesh, with zero Dirichlet data.
+
+    The load is f = 1 integrated with the triangle rule of degree
+    ``quad_degree``, or zero for ``None``.
+    """
+    from plapminres.estimate import ExactSolution
+    from plapminres.forms import NonlinearForms, assemble_load
+    from plapminres.linsolve import saddle_pattern
+    from plapminres.spaces import CR, P1, build_space, triangle_rule
+
+    trial = build_space(mesh, P1)
+    test = build_space(mesh, CR)
+    if quad_degree is None:
+        load_free = np.zeros(test.n_free)
+    else:
+        problem = ExactSolution(p, 0.0, (-1.0, -1.0))  # f = 1
+        load_free = assemble_load(problem, test, triangle_rule(quad_degree))
+    return NonlinearForms(p, trial, test, saddle_pattern(test, trial),
+                          load_free, np.zeros(trial.constrained_dofs.size))
 
 
 def action(apply, forms, g) -> np.ndarray:

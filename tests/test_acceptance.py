@@ -20,7 +20,7 @@ from plapminres.forms import (
 )
 from plapminres.linsolve import saddle_pattern
 from plapminres.mesh import refine_marked, refine_uniform, unit_square_mesh
-from plapminres.newton import SolverOptions, cold_state, newton_solve
+from plapminres.newton import cold_state, newton_solve
 from plapminres.spaces import (
     CR,
     P1,
@@ -35,6 +35,7 @@ from tests.oracles import (
     duality_jacobian_matrix,
     embed_p1_in_cr,
     gauss_edge_mean,
+    make_forms,
     min_angle,
     operator_jacobian_matrix,
     p1_interpolate,
@@ -57,7 +58,7 @@ class TestCriterion1PoissonOracle:
         boundary = es.value(mesh.vertices[trial.constrained_dofs])
         forms = NonlinearForms(2.0, trial, test, saddle_pattern(test, trial),
                                load_free, boundary)
-        result = newton_solve(forms, cold_state(forms), SolverOptions())
+        result = newton_solve(forms, cold_state(forms))
         assert result.converged
         u_ref = p1_poisson_galerkin(mesh, boundary, load_free, test)
         g_diff = all_element_gradients(trial, result.state.u - u_ref)
@@ -139,15 +140,10 @@ class TestCriterion5PropertySuite:
     def test_strict_monotonicity(self):
         rng = np.random.default_rng(100)
         mesh = unit_square_mesh(3)
-        trial = build_space(mesh, P1)
-        test = build_space(mesh, CR)
-        pattern = saddle_pattern(test, trial)
-        load_free = np.zeros(test.n_free)
-        boundary = np.zeros(trial.constrained_dofs.size)
         checked = 0
         for p in (1.3, 1.5, 2.0, 2.5, 3.0):
-            forms = NonlinearForms(p, trial, test, pattern, load_free,
-                                   boundary)
+            forms = make_forms(mesh, p)
+            trial, test = forms.trial, forms.test
             for _ in range(100):
                 u = np.zeros(trial.n_total)
                 w = np.zeros(trial.n_total)
@@ -165,16 +161,12 @@ class TestCriterion5PropertySuite:
     def test_duality_identity_and_homogeneity(self):
         rng = np.random.default_rng(101)
         mesh = unit_square_mesh(3)
-        trial = build_space(mesh, P1)
-        test = build_space(mesh, CR)
-        pattern = saddle_pattern(test, trial)
-        load_free = np.zeros(test.n_free)
-        boundary = np.zeros(trial.constrained_dofs.size)
         exponents = (1.5, 2.0, 3.0)
+        forms_at = {p: make_forms(mesh, p) for p in exponents}
         for k in range(100):
             p = exponents[k % len(exponents)]
-            forms = NonlinearForms(p, trial, test, pattern, load_free,
-                                   boundary)
+            forms = forms_at[p]
+            test = forms.test
             r = np.zeros(test.n_total)
             r[test.free_dofs] = rng.standard_normal(test.n_free)
             g_r = all_element_gradients(test, r)
@@ -248,11 +240,8 @@ class TestCriterion5PropertySuite:
     def test_jacobians_match_finite_differences(self, p):
         rng = np.random.default_rng(103)
         mesh = unit_square_mesh(3)
-        trial = build_space(mesh, P1)
-        test = build_space(mesh, CR)
-        forms = NonlinearForms(p, trial, test, saddle_pattern(test, trial),
-                               np.zeros(test.n_free),
-                               np.zeros(trial.constrained_dofs.size))
+        forms = make_forms(mesh, p)
+        trial, test = forms.trial, forms.test
         h = 1e-5
         base_u = p1_interpolate(mesh, lambda x, y: x + 0.6 * y)
         base_r = embed_p1_in_cr(mesh, p1_interpolate(

@@ -10,7 +10,7 @@ from plapminres.driver import ProblemConfig, pre_adapt_mesh, run_study, transfer
 from plapminres.estimate import ExactSolution, estimator_global, true_error
 from plapminres.forms import assemble_load
 from plapminres.mesh import mesh_size, refine_marked, refine_uniform, unit_square_mesh
-from plapminres.newton import ContinuationError, DiscreteState, SolverOptions
+from plapminres.newton import ContinuationError, DiscreteState
 from plapminres.spaces import (
     CR,
     P1,
@@ -227,14 +227,16 @@ class TestStudies:
         real = newton.newton_solve
         executed = []
 
-        def counted(forms, state, opts):
-            result = real(forms, state, opts)
+        def counted(forms, state):
+            result = real(forms, state)
             executed.append(result)
             return result
 
-        def failing(forms, state, opts):
+        def failing(forms, state):
             # one iteration cannot reach the tolerance at p = 3
-            return counted(forms, state, replace(opts, max_newton=1))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(newton, "MAX_NEWTON", 1)
+                return counted(forms, state)
 
         monkeypatch.setattr(newton, "newton_solve", counted)
         monkeypatch.setattr(driver, "newton_solve", failing)
@@ -263,15 +265,16 @@ class TestStudies:
                                                        monkeypatch):
         real = driver.continuation_solve
 
-        def failing_warm_start(forms, state, opts):
-            return newton.newton_solve(forms, state,
-                                       replace(opts, max_newton=1))
+        def failing_warm_start(forms, state):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(newton, "MAX_NEWTON", 1)
+                return newton.newton_solve(forms, state)
 
-        def abort_on_level_1(p_target, factory, opts):
+        def abort_on_level_1(p_target, factory):
             if factory(p_target).trial.mesh.n_triangles > 8:
                 raise ContinuationError("step underflow (injected)",
                                         newton.IterationLog())
-            return real(p_target, factory, opts)
+            return real(p_target, factory)
 
         monkeypatch.setattr(driver, "newton_solve", failing_warm_start)
         monkeypatch.setattr(driver, "continuation_solve", abort_on_level_1)
@@ -285,11 +288,10 @@ class TestStudies:
         assert [(t["p"], t["iterations"], t["converged"]) for t in telem
                 if t["level"] == 1] == [(3.0, 1, False)]
 
-    def test_abort_returns_partial_records(self, tmp_path):
+    def test_abort_returns_partial_records(self, tmp_path, monkeypatch):
         out = tmp_path / "study"
-        cfg = ProblemConfig(p_target=3.0, max_levels=2,
-                            solver=SolverOptions(max_newton=1),
-                            output_dir=str(out))
+        monkeypatch.setattr(newton, "MAX_NEWTON", 1)
+        cfg = ProblemConfig(p_target=3.0, max_levels=2, output_dir=str(out))
         records = run_study(cfg)
         assert records == []
         # the aborted level's solves are in the telemetry: the linear stage
@@ -400,10 +402,10 @@ class TestIndependentLevels:
         solved_on = []
         pools = []
 
-        def recorded(p_target, factory, opts):
+        def recorded(p_target, factory):
             solved_on.append((factory(p_target).trial.mesh.n_triangles,
                               threading.current_thread()))
-            return real_solve(p_target, factory, opts)
+            return real_solve(p_target, factory)
 
         def pool(max_workers):
             pools.append(max_workers)
@@ -432,11 +434,11 @@ class TestIndependentLevels:
         cfg = ProblemConfig(p_target=3.0, max_levels=3)
         failing_triangles = 2 * cfg.initial_n ** 2 * 4 ** failing
 
-        def fail_on_one_mesh(p_target, factory, opts):
+        def fail_on_one_mesh(p_target, factory):
             if factory(p_target).trial.mesh.n_triangles == failing_triangles:
                 raise ContinuationError("step underflow (injected)",
                                         newton.IterationLog())
-            return real(p_target, factory, opts)
+            return real(p_target, factory)
 
         monkeypatch.setattr(driver, "continuation_solve", fail_on_one_mesh)
         threads = threading.active_count()
@@ -476,12 +478,12 @@ class TestIndependentLevels:
         real = driver.continuation_solve
         coarsest = 2 * cfg.initial_n ** 2  # triangles of level 0
 
-        def fail_on_level_1(p_target, factory, opts):
+        def fail_on_level_1(p_target, factory):
             # one refinement step at most quadruples the triangles
             n = factory(p_target).trial.mesh.n_triangles
             if coarsest < n <= 4 * coarsest:
                 raise error(*args)
-            return real(p_target, factory, opts)
+            return real(p_target, factory)
 
         monkeypatch.setattr(driver, "continuation_solve", fail_on_level_1)
         threads = threading.active_count()
@@ -546,11 +548,11 @@ class TestIndependentLevels:
                 return factory(p)
             return counted
 
-        def abort_coarsest(p_target, factory, opts):
+        def abort_coarsest(p_target, factory):
             if factory(p_target).trial.mesh.n_triangles == coarsest:
                 raise ContinuationError("step underflow (injected)",
                                         newton.IterationLog())
-            return real_solve(p_target, factory, opts)
+            return real_solve(p_target, factory)
 
         monkeypatch.setattr(driver, "_forms_factory", counting)
         assert len(run_study(cfg)) == cfg.max_levels

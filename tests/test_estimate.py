@@ -12,11 +12,9 @@ from plapminres.estimate import (
     fit_rate,
     true_error,
 )
-from plapminres.forms import NonlinearForms, assemble_load, local_indicators
-from plapminres.linsolve import saddle_pattern
+from plapminres.forms import local_indicators
 from plapminres.mesh import refine_uniform, unit_square_mesh
 from plapminres.spaces import (
-    CR,
     P1,
     QUAD_CHUNK,
     all_element_gradients,
@@ -24,20 +22,11 @@ from plapminres.spaces import (
     build_space,
     triangle_rule,
 )
-from tests.oracles import p1_interpolate, radial_seminorm_p
+from tests.oracles import make_forms, p1_interpolate, radial_seminorm_p
 
 # frozen values of the polar-coordinate radial oracle (see
 # tests/oracles.radial_seminorm_p) for sigma = 0.97, x0 = (-1, -1)
 RADIAL_SEMINORM = {1.5: 1.1018949656245927, 3.0: 0.8955163879488652}
-
-
-def make_forms(mesh, p):
-    trial = build_space(mesh, P1)
-    test = build_space(mesh, CR)
-    problem = ExactSolution(p, 0.0, (-1.0, -1.0))  # f = 1
-    return NonlinearForms(p, trial, test, saddle_pattern(test, trial),
-                          assemble_load(problem, test, triangle_rule(2)),
-                          np.zeros(trial.constrained_dofs.size))
 
 
 class TestExactSolution:
@@ -132,12 +121,12 @@ class TestSource:
 
 class TestEstimatorGlobal:
     def test_zero(self):
-        forms = make_forms(unit_square_mesh(2), 3.0)
+        forms = make_forms(unit_square_mesh(2), 3.0, 2)
         assert estimator_global(forms, np.zeros(forms.test.n_total)) == 0.0
 
     def test_p2_equals_seminorm(self):
         rng = np.random.default_rng(2)
-        forms = make_forms(unit_square_mesh(3), 2.0)
+        forms = make_forms(unit_square_mesh(3), 2.0, 2)
         r = rng.standard_normal(forms.test.n_total)
         assert estimator_global(forms, r) == pytest.approx(
             broken_seminorm(forms.test, all_element_gradients(forms.test, r),
@@ -145,7 +134,7 @@ class TestEstimatorGlobal:
 
     def test_consistency_with_local_masses(self):
         rng = np.random.default_rng(3)
-        forms = make_forms(unit_square_mesh(3), 3.0)
+        forms = make_forms(unit_square_mesh(3), 3.0, 2)
         r = rng.standard_normal(forms.test.n_total)
         eta = estimator_global(forms, r)
         total = local_indicators(forms, r).sum()
@@ -154,7 +143,7 @@ class TestEstimatorGlobal:
 
     def test_zero_iff_zero_seminorm(self):
         rng = np.random.default_rng(4)
-        forms = make_forms(unit_square_mesh(2), 1.5)
+        forms = make_forms(unit_square_mesh(2), 1.5, 2)
         for _ in range(10):
             r = np.zeros(forms.test.n_total)
             r[forms.test.free_dofs] = rng.standard_normal(forms.test.n_free)

@@ -25,18 +25,10 @@ from tests.oracles import (
     action,
     duality_jacobian_matrix,
     embed_p1_in_cr,
+    make_forms,
     operator_jacobian_matrix,
     p1_interpolate,
 )
-
-
-def make_forms(mesh, p, quad_degree=4):
-    trial = build_space(mesh, P1)
-    test = build_space(mesh, CR)
-    problem = ExactSolution(p, 0.0, (-1.0, -1.0))  # f = 1
-    load_free = assemble_load(problem, test, triangle_rule(quad_degree))
-    return NonlinearForms(p, trial, test, saddle_pattern(test, trial),
-                          load_free, np.zeros(trial.constrained_dofs.size))
 
 
 def stiffness_action_oracle(forms, coeffs, kind):
@@ -83,14 +75,14 @@ class TestNonlinearForms:
 class TestApplyOperator:
     def test_zero_input(self):
         for p in (1.4, 2.0, 3.3):
-            forms = make_forms(unit_square_mesh(2), p)
+            forms = make_forms(unit_square_mesh(2), p, 4)
             u = np.zeros(forms.trial.n_total)
             out = action(apply_plaplacian, forms, all_element_gradients(forms.trial, u))
             assert np.array_equal(out, np.zeros(forms.test.n_free))
 
     def test_p2_matches_stiffness_oracle(self):
         rng = np.random.default_rng(0)
-        forms = make_forms(unit_square_mesh(3), 2.0)
+        forms = make_forms(unit_square_mesh(3), 2.0, 4)
         u = rng.standard_normal(forms.trial.n_total)
         got = action(apply_plaplacian, forms, all_element_gradients(forms.trial, u))
         want = stiffness_action_oracle(forms, u, "trial")
@@ -98,7 +90,7 @@ class TestApplyOperator:
 
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
-        forms = make_forms(unit_square_mesh(3), 3.0)
+        forms = make_forms(unit_square_mesh(3), 3.0, 4)
         u = rng.standard_normal(forms.trial.n_total)
         lam = 2.0
         left = action(apply_plaplacian, forms,
@@ -110,7 +102,7 @@ class TestApplyOperator:
 
 class TestApplyDualityMap:
     def test_zero_input(self):
-        forms = make_forms(unit_square_mesh(2), 1.5)
+        forms = make_forms(unit_square_mesh(2), 1.5, 4)
         g = all_element_gradients(forms.test, np.zeros(forms.test.n_total))
         out = action(apply_duality_map, forms, g)
         assert np.array_equal(out, np.zeros(forms.test.n_free))
@@ -118,7 +110,7 @@ class TestApplyDualityMap:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_duality_identity(self, p):
         rng = np.random.default_rng(2)
-        forms = make_forms(unit_square_mesh(3), p)
+        forms = make_forms(unit_square_mesh(3), p, 4)
         r = np.zeros(forms.test.n_total)
         r[forms.test.free_dofs] = rng.standard_normal(forms.test.n_free)
         g = all_element_gradients(forms.test, r)
@@ -128,7 +120,7 @@ class TestApplyDualityMap:
 
     def test_p2_is_stiffness_action(self):
         rng = np.random.default_rng(3)
-        forms = make_forms(unit_square_mesh(3), 2.0)
+        forms = make_forms(unit_square_mesh(3), 2.0, 4)
         r = np.zeros(forms.test.n_total)
         r[forms.test.free_dofs] = rng.standard_normal(forms.test.n_free)
         got = action(apply_duality_map, forms, all_element_gradients(forms.test, r))
@@ -137,7 +129,7 @@ class TestApplyDualityMap:
 
     def test_homogeneity(self):
         rng = np.random.default_rng(4)
-        forms = make_forms(unit_square_mesh(2), 1.7)
+        forms = make_forms(unit_square_mesh(2), 1.7, 4)
         r = rng.standard_normal(forms.test.n_total)
         lam = -1.75
         left = action(apply_duality_map, forms,
@@ -159,14 +151,14 @@ def nondegenerate_trial_state(forms, rng, slope=(1.0, 0.6)):
 class TestOperatorJacobian:
     def test_p2_independent_of_state(self):
         rng = np.random.default_rng(5)
-        forms = make_forms(unit_square_mesh(3), 2.0)
+        forms = make_forms(unit_square_mesh(3), 2.0, 4)
         B1 = operator_jacobian_matrix(forms, rng.standard_normal(forms.trial.n_total))
         B2 = operator_jacobian_matrix(forms, rng.standard_normal(forms.trial.n_total))
         assert abs(B1 - B2).max() < 1e-12
 
     def test_p2_rows_give_stiffness_action(self):
         rng = np.random.default_rng(6)
-        forms = make_forms(unit_square_mesh(3), 2.0)
+        forms = make_forms(unit_square_mesh(3), 2.0, 4)
         B = operator_jacobian_matrix(forms, np.zeros(forms.trial.n_total))
         u = np.zeros(forms.trial.n_total)
         u[forms.trial.free_dofs] = rng.standard_normal(forms.trial.n_free)
@@ -175,7 +167,7 @@ class TestOperatorJacobian:
 
     def test_centered_difference_check(self):
         rng = np.random.default_rng(7)
-        forms = make_forms(unit_square_mesh(3), 2.7)
+        forms = make_forms(unit_square_mesh(3), 2.7, 4)
         u = nondegenerate_trial_state(forms, rng)
         delta = rng.standard_normal(forms.trial.n_free)
         B = operator_jacobian_matrix(forms, u)
@@ -195,7 +187,7 @@ class TestOperatorJacobian:
         # energy (1/p) int |grad u|^p, hence symmetric
         rng = np.random.default_rng(8)
         m = unit_square_mesh(3)
-        forms = make_forms(m, 2.6)
+        forms = make_forms(m, 2.6, 4)
         u = nondegenerate_trial_state(forms, rng)
         B = operator_jacobian_matrix(forms, u)
         for _ in range(5):
@@ -213,7 +205,7 @@ class TestOperatorJacobian:
 class TestDualityJacobian:
     def test_p2_is_broken_stiffness(self):
         rng = np.random.default_rng(9)
-        forms = make_forms(unit_square_mesh(3), 2.0)
+        forms = make_forms(unit_square_mesh(3), 2.0, 4)
         G = duality_jacobian_matrix(forms, rng.standard_normal(forms.test.n_total))
         r = np.zeros(forms.test.n_total)
         r[forms.test.free_dofs] = rng.standard_normal(forms.test.n_free)
@@ -222,14 +214,14 @@ class TestDualityJacobian:
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(10)
-        forms = make_forms(unit_square_mesh(3), 1.6)
+        forms = make_forms(unit_square_mesh(3), 1.6, 4)
         G = duality_jacobian_matrix(forms, rng.standard_normal(forms.test.n_total))
         assert abs(G - G.T).max() == 0.0
 
     def test_centered_difference_check(self):
         rng = np.random.default_rng(11)
         m = unit_square_mesh(3)
-        forms = make_forms(m, 1.6)
+        forms = make_forms(m, 1.6, 4)
         base = embed_p1_in_cr(m, p1_interpolate(m, lambda x, y: 2 * x + 3 * y))
         r = base + 0.05 * rng.standard_normal(forms.test.n_total)
         delta = rng.standard_normal(forms.test.n_free)
@@ -247,7 +239,7 @@ class TestDualityJacobian:
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(12)
-        forms = make_forms(unit_square_mesh(3), 2.4)
+        forms = make_forms(unit_square_mesh(3), 2.4, 4)
         G = duality_jacobian_matrix(forms, rng.standard_normal(forms.test.n_total))
         for _ in range(20):
             v = rng.standard_normal(forms.test.n_free)
@@ -299,13 +291,13 @@ class TestAssembleLoad:
 
 class TestLocalIndicators:
     def test_zero(self):
-        forms = make_forms(unit_square_mesh(2), 1.5)
+        forms = make_forms(unit_square_mesh(2), 1.5, 4)
         m_t = local_indicators(forms, np.zeros(forms.test.n_total))
         assert np.array_equal(m_t, np.zeros(forms.mesh.n_triangles))
 
     def test_masses_sum_to_norm_power(self):
         rng = np.random.default_rng(13)
-        forms = make_forms(unit_square_mesh(3), 3.0)
+        forms = make_forms(unit_square_mesh(3), 3.0, 4)
         r = rng.standard_normal(forms.test.n_total)
         total = local_indicators(forms, r).sum()
         g = all_element_gradients(forms.test, r)
@@ -314,7 +306,7 @@ class TestLocalIndicators:
 
     def test_locality(self):
         m = unit_square_mesh(1)
-        forms = make_forms(m, 2.5)
+        forms = make_forms(m, 2.5, 4)
         r = np.zeros(forms.test.n_total)
         # load both boundary edges of triangle 0, keep the shared diagonal 0
         shared = set(m.triangle_edges[1])
@@ -330,7 +322,7 @@ class TestStrictMonotonicity:
     def test_random_pairs(self, p):
         rng = np.random.default_rng(14)
         m = unit_square_mesh(3)
-        forms = make_forms(m, p)
+        forms = make_forms(m, p, 4)
         for _ in range(20):
             u = np.zeros(forms.trial.n_total)
             w = np.zeros(forms.trial.n_total)

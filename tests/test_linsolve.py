@@ -27,13 +27,12 @@ from plapminres.linsolve import (
 from plapminres.mesh import refine_marked, refine_uniform, unit_square_mesh
 from plapminres.newton import (
     DiscreteState,
-    SolverOptions,
     cold_state,
     newton_solve,
     nonlinear_residual,
 )
 from plapminres.spaces import CR, P1, all_element_gradients, build_space, triangle_rule
-from tests.oracles import dense_saddle_solve, reference_saddle_matrix
+from tests.oracles import dense_saddle_solve, make_forms, reference_saddle_matrix
 
 
 def random_spd_blocks(rng, n, m):
@@ -103,11 +102,8 @@ MESHES = {"uniform": lambda: unit_square_mesh(4), "graded": graded_mesh}
 def newton_weights(mesh, p, seed=0):
     """Forms and random-state Jacobian element weights on a mesh."""
     rng = np.random.default_rng(seed)
-    test = build_space(mesh, CR)
-    trial = build_space(mesh, P1)
-    forms = NonlinearForms(p, trial, test, saddle_pattern(test, trial),
-                           np.zeros(test.n_free),
-                           np.zeros(trial.constrained_dofs.size))
+    forms = make_forms(mesh, p)
+    test, trial = forms.test, forms.trial
     G = assemble_duality_jacobian(forms, all_element_gradients(
         test, rng.standard_normal(test.n_total)))
     B = assemble_operator_jacobian(forms, all_element_gradients(
@@ -529,11 +525,10 @@ class TestFallback:
         forms = NonlinearForms(2.5, trial, test, saddle_pattern(test, trial),
                                np.ones(test.n_free),
                                np.zeros(trial.constrained_dofs.size))
-        start = newton_solve(replace(forms, p=2.0), cold_state(forms),
-                             SolverOptions()).state
+        start = newton_solve(replace(forms, p=2.0), cold_state(forms)).state
         monkeypatch.setattr(linsolve, "spla", _FailingSymmetricSpla(
             linsolve.spla, "raise", fail_general))
-        result = newton_solve(forms, start, SolverOptions())
+        result = newton_solve(forms, start)
         if fail_general:
             assert not result.converged and result.iterations == 0
             assert result.linear_fallbacks == 1

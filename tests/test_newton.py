@@ -20,7 +20,6 @@ from plapminres.mesh import refine_marked, unit_square_mesh
 from plapminres.newton import (
     ContinuationError,
     DiscreteState,
-    SolverOptions,
     cold_state,
     continuation_solve,
     newton_solve,
@@ -137,16 +136,17 @@ class TestNewtonSolve:
     def test_linear_case_single_iteration(self):
         _, _, _, factory = smooth_setup(3)
         forms = factory(2.0)
-        result = newton_solve(forms, cold_state(forms), SolverOptions())
+        result = newton_solve(forms, cold_state(forms))
         assert result.converged
         assert result.iterations == 1
 
-    def test_quadratic_contraction_near_solution(self):
+    def test_quadratic_contraction_near_solution(self, monkeypatch):
         _, _, _, factory = smooth_setup(4)
-        opts = SolverOptions(newton_tol=1e-13, max_newton=25)
-        res2 = newton_solve(factory(2.0), cold_state(factory(2.0)), opts)
+        monkeypatch.setattr(newton, "NEWTON_TOL", 1e-13)
+        monkeypatch.setattr(newton, "MAX_NEWTON", 25)
+        res2 = newton_solve(factory(2.0), cold_state(factory(2.0)))
         forms = factory(2.1)
-        result = newton_solve(forms, res2.state, opts)
+        result = newton_solve(forms, res2.state)
         assert result.converged
         incs = [h["increment"] for h in result.history]
         checked = 0
@@ -156,26 +156,26 @@ class TestNewtonSolve:
                 checked += 1
         assert checked >= 2
 
-    def test_iteration_cap_returns_failure_with_state(self):
+    def test_iteration_cap_returns_failure_with_state(self, monkeypatch):
         # one step at p = 3 from the converged p = 2 state: from the cold
         # state the saddle matrix's condition number (about 5.6e10) puts the
         # 1e-10 linear certificate below the floating-point floor
         _, _, _, factory = smooth_setup(2)
-        res2 = newton_solve(factory(2.0), cold_state(factory(2.0)),
-                            SolverOptions())
+        res2 = newton_solve(factory(2.0), cold_state(factory(2.0)))
         forms = factory(3.0)
-        result = newton_solve(forms, res2.state, SolverOptions(max_newton=1))
+        monkeypatch.setattr(newton, "MAX_NEWTON", 1)
+        result = newton_solve(forms, res2.state)
         assert not result.converged
         assert result.iterations == 1
         assert np.all(np.isfinite(result.state.u))
         assert np.all(np.isfinite(result.state.r))
 
-    def test_accepted_steps_do_not_increase_residual(self):
+    def test_accepted_steps_do_not_increase_residual(self, monkeypatch):
         _, _, _, factory = smooth_setup(3)
         forms = factory(1.5)
-        res2 = newton_solve(factory(2.0), cold_state(factory(2.0)),
-                            SolverOptions())
-        result = newton_solve(forms, res2.state, SolverOptions(max_newton=30))
+        res2 = newton_solve(factory(2.0), cold_state(factory(2.0)))
+        monkeypatch.setattr(newton, "MAX_NEWTON", 30)
+        result = newton_solve(forms, res2.state)
         assert result.converged
         residuals = [h["residual"] for h in result.history]
         for a, b in zip(residuals, residuals[1:]):
@@ -192,7 +192,7 @@ class TestNewtonSolve:
                                np.zeros(trial.constrained_dofs.size))
         with np.errstate(over="ignore"):
             assert np.linalg.norm(forms.load_free) == np.inf
-        result = newton_solve(forms, cold_state(forms), SolverOptions())
+        result = newton_solve(forms, cold_state(forms))
         assert not result.converged
         assert result.history[0]["increment"] == np.inf
         assert all(np.isfinite(h["residual"]) for h in result.history)
@@ -219,7 +219,7 @@ class TestNewtonSolve:
             return res
 
         monkeypatch.setattr(newton, "nonlinear_residual", worse_trials)
-        result = newton_solve(forms, start, SolverOptions())
+        result = newton_solve(forms, start)
         assert len(norms) == 1 + newton.MAX_BACKTRACKS + 1
         assert not result.converged
         assert result.iterations == 1 and result.damping_events == 1
@@ -259,8 +259,8 @@ class TestGradientReuse:
             monkeypatch.setattr(module, "all_element_gradients", gradients)
         monkeypatch.setattr(newton, "nonlinear_residual", counted(
             "residuals", newton.nonlinear_residual))
-        result = newton_solve(forms, cold_state(forms),
-                              SolverOptions(max_newton=8))
+        monkeypatch.setattr(newton, "MAX_NEWTON", 8)
+        result = newton_solve(forms, cold_state(forms))
         assert result.iterations >= 2
         assert calls["residuals"] > result.iterations
         assert (calls["gradients"]
@@ -270,7 +270,7 @@ class TestGradientReuse:
 class TestContinuation:
     def test_target_two_is_single_linear_solve(self):
         _, _, _, factory = smooth_setup(2)
-        _, log = continuation_solve(2.0, factory, SolverOptions())
+        _, log = continuation_solve(2.0, factory)
         assert log.records[-1].p == 2.0
         assert len(log.records) == 1
         assert log.total_iterations == 1
@@ -278,19 +278,19 @@ class TestContinuation:
     def test_p3_band_on_coarse_mesh(self):
         # ten 0.1-steps from the linear case at ~4-5 Newton iterations each
         _, _, _, factory = smooth_setup(2)
-        _, log = continuation_solve(3.0, factory, SolverOptions())
+        _, log = continuation_solve(3.0, factory)
         assert 30 <= log.total_iterations <= 80
         assert log.records[-1].p == 3.0
 
     def test_p15_band_on_coarse_mesh(self):
         # five 0.1-steps toward the singular regime
         _, _, _, factory = smooth_setup(2)
-        state, log = continuation_solve(1.5, factory, SolverOptions())
+        state, log = continuation_solve(1.5, factory)
         assert 15 <= log.total_iterations <= 60
 
     def test_monotone_exponent_path(self):
         _, _, _, factory = smooth_setup(2)
-        _, log = continuation_solve(1.5, factory, SolverOptions())
+        _, log = continuation_solve(1.5, factory)
         ps = [rec.p for rec in log.records]
         assert ps[0] == 2.0
         assert all(b < a for a, b in zip(ps, ps[1:]))
@@ -298,28 +298,28 @@ class TestContinuation:
 
     def test_accumulated_totals_match(self):
         _, _, _, factory = smooth_setup(2)
-        _, log = continuation_solve(1.5, factory, SolverOptions())
+        _, log = continuation_solve(1.5, factory)
         assert log.total_iterations == sum(r.iterations for r in log.records)
 
-    def test_step_underflow_aborts_with_log(self):
+    def test_step_underflow_aborts_with_log(self, monkeypatch):
         _, _, _, factory = smooth_setup(2)
-        opts = SolverOptions(max_newton=1)
+        monkeypatch.setattr(newton, "MAX_NEWTON", 1)
         with pytest.raises(ContinuationError) as info:
-            continuation_solve(3.0, factory, opts)
+            continuation_solve(3.0, factory)
         assert info.value.log.records[0].p == 2.0
         assert any(not rec.converged for rec in info.value.log.records)
 
     def test_rejects_bad_target(self):
         _, _, _, factory = smooth_setup(2)
         with pytest.raises(ValueError):
-            continuation_solve(1.0, factory, SolverOptions())
+            continuation_solve(1.0, factory)
 
 
 class TestGalerkinEquivalence:
     def test_p2_minres_equals_galerkin(self):
         mesh, test, load_free, factory = smooth_setup(4)
         forms = factory(2.0)
-        result = newton_solve(forms, cold_state(forms), SolverOptions())
+        result = newton_solve(forms, cold_state(forms))
         assert result.converged
         u_ref = p1_poisson_galerkin(mesh, forms.dirichlet_values, load_free,
                                     test)
@@ -332,7 +332,7 @@ class TestGalerkinEquivalence:
 
     def test_telemetry_serializes(self):
         _, _, _, factory = smooth_setup(2)
-        _, log = continuation_solve(1.5, factory, SolverOptions())
+        _, log = continuation_solve(1.5, factory)
         lines = [rec.as_json() for rec in log.records]
         assert len(lines) == len(log.records)
         import json
